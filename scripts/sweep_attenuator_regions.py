@@ -6,7 +6,7 @@ classifies each channel, and emits one CSV row per grid point.  The sweep
 traces how the steering-annihilating / steering-breaking / unsteerable
 regions nest as noise increases.
 
-Usage: python scripts/sweep_attenuator_regions.py [--grid 15] [--seed 0]
+Usage: python scripts/sweep_attenuator_regions.py [--grid 15]
 """
 
 import argparse
@@ -20,20 +20,13 @@ from gauss_steer.channels import (
     classify,
     tensor_with_identity,
 )
-from gauss_steer.quantifier import SolverConfig
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--grid", type=int, default=15, help="points per axis")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=4000)
-    parser.add_argument("--starts", type=int, default=8)
     args = parser.parse_args()
 
-    cfg = SolverConfig(
-        starts=args.starts, samples=args.samples, max_iters=300, seed=args.seed
-    )
     writer = csv.writer(sys.stdout)
     writer.writerow(
         [
@@ -51,7 +44,7 @@ def main() -> int:
             channel = tensor_with_identity(
                 attenuator(float(np.arccos(cos_theta)), float(n_th)), 1, side="B"
             )
-            report = classify(channel, cfg)
+            report = classify(channel)
             writer.writerow(
                 [
                     f"{cos_theta:.4f}",

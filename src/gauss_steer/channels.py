@@ -33,12 +33,7 @@ from .errors import (
     InvalidStateError,
     NotHermitianError,
 )
-from .quantifier import (
-    QuantifiedCondition,
-    SolverConfig,
-    Verdict,
-    decide,
-)
+from .quantifier import QuantifiedCondition, Verdict, decide
 from .states import (
     DEFAULT_TOL,
     GENERATOR_MARGIN,
@@ -276,18 +271,14 @@ def mus_condition(channel: GaussianChannel) -> QuantifiedCondition:
     return QuantifiedCondition(channel.M, [channel.K @ oh @ channel.K.T], oh)
 
 
-def is_steering_annihilating(
-    channel: GaussianChannel, cfg: SolverConfig = SolverConfig()
-) -> Verdict:
+def is_steering_annihilating(channel: GaussianChannel) -> Verdict:
     _require_cp(channel)
-    return decide(sa_condition(channel), cfg)
+    return decide(sa_condition(channel))
 
 
-def is_maximal_unsteerable(
-    channel: GaussianChannel, cfg: SolverConfig = SolverConfig()
-) -> Verdict:
+def is_maximal_unsteerable(channel: GaussianChannel) -> Verdict:
     _require_cp(channel)
-    return decide(mus_condition(channel), cfg)
+    return decide(mus_condition(channel))
 
 
 def choi_state(channel: GaussianChannel, r: float) -> GaussianState:
@@ -328,11 +319,7 @@ class ClassificationReport:
     evidence: Dict[str, PsdCheck]
 
     def check_consistency(self) -> None:
-        """Raise if the flags contradict the known set inclusions.
-
-        UNDECIDED never counts as a violation: the sphere solver is
-        incomplete by nature.
-        """
+        """Raise if the flags contradict the known set inclusions."""
         if self.sa_sufficient and self.steering_annihilating.violated:
             raise GaussSteerError(
                 "inconsistent report: PSD-sufficient condition holds but the "
@@ -351,9 +338,7 @@ class ClassificationReport:
 
 
 def classify(
-    channel: GaussianChannel,
-    cfg: SolverConfig = SolverConfig(),
-    tol: float = DEFAULT_TOL,
+    channel: GaussianChannel, tol: float = DEFAULT_TOL
 ) -> ClassificationReport:
     """Run every classification predicate and assemble a consistent report.
 
@@ -374,8 +359,8 @@ def classify(
         unsteerable=bool(us),
         sa_sufficient=bool(eq_sa),
         steering_breaking=bool(sb),
-        steering_annihilating=decide(sa_condition(channel), cfg),
-        maximal_unsteerable=decide(mus_condition(channel), cfg),
+        steering_annihilating=decide(sa_condition(channel)),
+        maximal_unsteerable=decide(mus_condition(channel)),
         evidence={
             "cp_valid": cp,
             "unsteerable": us,

@@ -9,7 +9,7 @@ repro-paper  re-run the bundled reference examples and report pass/fail
 
 stdout carries data, stderr carries diagnostics.  Exit codes: 0 success,
 1 I/O or schema error, 2 invalid (non-CP channel / inadmissible
-superchannel).  Identical inputs, seed and flags produce byte-identical
+superchannel).  Identical inputs and flags produce byte-identical
 envelopes.
 """
 
@@ -28,7 +28,7 @@ from .errors import (
     InvalidChannelError,
     InvalidSuperchannelError,
 )
-from .quantifier import SolverConfig
+from .quantifier import DECISION_MARGIN
 from .repro import run_reference_suite
 from .symplectic import ModePartition
 
@@ -50,19 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--tol", type=float, default=1e-8, help="PSD tolerance")
-        p.add_argument("--starts", type=int, default=32, help="solver multi-starts")
-        p.add_argument(
-            "--samples", type=int, default=20000, help="solver random samples"
-        )
-        p.add_argument(
-            "--max-iters", type=int, default=500, help="solver iterations per start"
-        )
-        p.add_argument(
-            "--decision-margin",
-            type=float,
-            default=1e-7,
-            help="solver HOLDS/VIOLATED decision margin",
-        )
+
+    def add_seed(p):
         p.add_argument(
             "--seed",
             type=int,
@@ -88,13 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("M", "N"),
         help="mode partition (default 1 1)",
     )
-    p.add_argument("--seed", type=int, default=None)
+    add_seed(p)
 
     p = sub.add_parser(
         "repro-paper",
         help="re-run the bundled reference examples and print a pass/fail table",
     )
     add_common(p)
+    add_seed(p)
     p.add_argument("--json", action="store_true", help="machine-readable envelope")
     return parser
 
@@ -105,30 +95,19 @@ def _seed_of(args) -> int:
     return int(os.environ.get("GAUSS_STEER_SEED", "0"))
 
 
-def _solver_config(args, seed: int) -> SolverConfig:
-    return SolverConfig(
-        starts=args.starts,
-        samples=args.samples,
-        max_iters=args.max_iters,
-        decision_margin=args.decision_margin,
-        seed=seed,
-    )
-
-
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return jsonio.loads_strict(text)
 
 
-def _envelope(command: str, seed: int, tol: float, cfg: SolverConfig, **body):
+def _envelope(command: str, tol: float, **body):
     out = {
         "tool": "gauss-steer",
         "version": __version__,
         "command": command,
-        "seed": seed,
         "tol": tol,
-        "solver": jsonio.solver_config_to_dict(cfg),
+        "solver": {"decision_margin": DECISION_MARGIN},
     }
     out.update(body)
     return out
@@ -141,17 +120,10 @@ def _emit(obj) -> None:
 def cmd_classify(args) -> int:
     obj = _read_json(args.channel_file)
     channel = jsonio.channel_from_dict(obj)
-    seed = _seed_of(args)
-    cfg = _solver_config(args, seed)
-    report = ch.classify(channel, cfg, args.tol)
+    report = ch.classify(channel, args.tol)
     _emit(
         _envelope(
-            "classify",
-            seed,
-            args.tol,
-            cfg,
-            input=obj,
-            report=jsonio.report_to_dict(report),
+            "classify", args.tol, input=obj, report=jsonio.report_to_dict(report)
         )
     )
     return 0
@@ -160,8 +132,6 @@ def cmd_classify(args) -> int:
 def cmd_super(args) -> int:
     obj = _read_json(args.superchannel_file)
     sc = jsonio.superchannel_from_dict(obj)
-    seed = _seed_of(args)
-    cfg = _solver_config(args, seed)
     if not sch.is_valid_superchannel(sc, args.tol):
         raise InvalidSuperchannelError(
             "superchannel fails its admissibility conditions"
@@ -174,13 +144,11 @@ def cmd_super(args) -> int:
             "psd": jsonio.psd_check_to_dict(us_psd),
             "orthogonality_residual": residual,
         },
-        "mus_sufficient": jsonio.verdict_to_dict(sch.mus_sufficient(sc, cfg)),
-        "chain_us": jsonio.verdict_to_dict(sch.chain_sufficient(sc, cfg, "US")),
-        "chain_mus": jsonio.verdict_to_dict(sch.chain_sufficient(sc, cfg, "MUS")),
+        "mus_sufficient": jsonio.verdict_to_dict(sch.mus_sufficient(sc)),
+        "chain_us": jsonio.verdict_to_dict(sch.chain_sufficient(sc, mode="US")),
+        "chain_mus": jsonio.verdict_to_dict(sch.chain_sufficient(sc, mode="MUS")),
     }
-    _emit(
-        _envelope("super", seed, args.tol, cfg, input=obj, verdicts=verdicts)
-    )
+    _emit(_envelope("super", args.tol, input=obj, verdicts=verdicts))
     return 0
 
 
@@ -202,16 +170,14 @@ def cmd_generate(args) -> int:
 
 def cmd_repro_paper(args) -> int:
     seed = _seed_of(args)
-    cfg = _solver_config(args, seed)
-    rows = run_reference_suite(args.tol, cfg)
+    rows = run_reference_suite(args.tol, seed)
     all_pass = all(row.passed for row in rows)
     if args.json:
         _emit(
             _envelope(
                 "repro-paper",
-                seed,
                 args.tol,
-                cfg,
+                seed=seed,
                 rows=[
                     {
                         "name": row.name,

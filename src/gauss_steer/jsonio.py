@@ -15,7 +15,7 @@ import jsonschema
 
 from .channels import ClassificationReport, FalsifierResult, GaussianChannel
 from .errors import GaussSteerError
-from .quantifier import SolverConfig, Verdict
+from .quantifier import Verdict
 from .states import GaussianState
 from .superchannels import GaussianSuperchannel
 from .symplectic import ModePartition, PsdCheck
@@ -197,16 +197,6 @@ def falsifier_to_dict(result: FalsifierResult) -> Dict[str, Any]:
         out["counterexample"] = state_to_dict(result.counterexample)
         out["output"] = state_to_dict(result.output)
     return out
-
-
-def solver_config_to_dict(cfg: SolverConfig) -> Dict[str, Any]:
-    return {
-        "starts": cfg.starts,
-        "samples": cfg.samples,
-        "max_iters": cfg.max_iters,
-        "decision_margin": cfg.decision_margin,
-        "seed": cfg.seed,
-    }
 
 
 def dump_schema_files(directory) -> None:

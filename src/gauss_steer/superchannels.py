@@ -30,13 +30,7 @@ from .errors import (
     InvalidSuperchannelError,
     NotHermitianError,
 )
-from .quantifier import (
-    QuantifiedCondition,
-    SolverConfig,
-    Verdict,
-    VerdictState,
-    decide,
-)
+from .quantifier import QuantifiedCondition, Verdict, VerdictState, decide
 from .states import DEFAULT_TOL, GENERATOR_MARGIN
 from .symplectic import (
     ModePartition,
@@ -169,12 +163,10 @@ def us_sufficient(sc: GaussianSuperchannel, tol: float = DEFAULT_TOL) -> bool:
 
 
 def _combine(first: Verdict, second: Verdict) -> Verdict:
-    """Conjunction of two verdicts: any violation wins, then any undecided."""
+    """Conjunction of two verdicts: the first violation wins."""
     for v in (first, second):
         if v.violated:
             return v
-    if first.undecided or second.undecided:
-        return Verdict(VerdictState.UNDECIDED, min(first.value, second.value))
     return Verdict(VerdictState.HOLDS, min(first.value, second.value))
 
 
@@ -190,9 +182,7 @@ def mus_conditions(
     return cond_post, cond_pre
 
 
-def mus_sufficient(
-    sc: GaussianSuperchannel, cfg: SolverConfig = SolverConfig()
-) -> Verdict:
+def mus_sufficient(sc: GaussianSuperchannel) -> Verdict:
     """Sufficient certificate for a maximal unsteerable superchannel.
 
     HOLDS only when both quantified conditions hold; a violation of either
@@ -200,14 +190,10 @@ def mus_sufficient(
     """
     _require_valid(sc)
     cond_post, cond_pre = mus_conditions(sc)
-    return _combine(decide(cond_post, cfg), decide(cond_pre, cfg))
+    return _combine(decide(cond_post), decide(cond_pre))
 
 
-def chain_sufficient(
-    sc: GaussianSuperchannel,
-    cfg: SolverConfig = SolverConfig(),
-    mode: str = "US",
-) -> Verdict:
+def chain_sufficient(sc: GaussianSuperchannel, mode: str = "US") -> Verdict:
     """Certify via the canonical decomposition: both factor channels free.
 
     ``mode="US"`` checks the PSD unsteerable-channel certificate on the pre
@@ -231,9 +217,7 @@ def chain_sufficient(
                 )
         return _combine(*verdicts)
     if mode == "MUS":
-        return _combine(
-            is_maximal_unsteerable(pre, cfg), is_maximal_unsteerable(post, cfg)
-        )
+        return _combine(is_maximal_unsteerable(pre), is_maximal_unsteerable(post))
     raise InvalidParameterError(f"mode must be 'US' or 'MUS', got {mode!r}")
 
 

@@ -279,11 +279,11 @@ class TestClassify:
         with pytest.raises(InvalidChannelError):
             ch.classify(bad)
 
-    def test_displacement_never_enters_flags(self, sweep_cfg):
+    def test_displacement_never_enters_flags(self):
         c = ch.random_channel(P11, 17)
         shifted = ch.GaussianChannel(P11, c.K, c.M, np.array([5.0, -2.0, 1.0, 3.0]))
-        r1 = ch.classify(c, sweep_cfg)
-        r2 = ch.classify(shifted, sweep_cfg)
+        r1 = ch.classify(c)
+        r2 = ch.classify(shifted)
         assert (r1.unsteerable, r1.sa_sufficient, r1.steering_breaking) == (
             r2.unsteerable,
             r2.sa_sufficient,
@@ -354,13 +354,13 @@ class TestRandomChannel:
 
 
 class TestEq7ImpliesMus:
-    def test_unsteerable_channels_never_mus_violated(self, sweep_cfg):
+    def test_unsteerable_channels_never_mus_violated(self):
         checked = 0
         for seed in range(60):
             c = ch.random_channel(P11, seed)
             if ch.is_unsteerable_channel(c):
                 checked += 1
-                assert not ch.is_maximal_unsteerable(c, sweep_cfg).violated
+                assert not ch.is_maximal_unsteerable(c).violated
             if checked >= 20:
                 break
         assert checked > 0

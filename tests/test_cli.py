@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -10,9 +14,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-FAST = ("--samples", "2000", "--starts", "6")
 
 
 class TestGenerate:
@@ -52,7 +53,7 @@ class TestClassify:
         _, out, _ = run_cli(capsys, "generate", "channel", "--seed", "5")
         path = tmp_path / "chan.json"
         path.write_text(out)
-        code, report_text, _ = run_cli(capsys, "classify", str(path), *FAST)
+        code, report_text, _ = run_cli(capsys, "classify", str(path))
         assert code == 0
         envelope = json.loads(report_text)
         assert envelope["tool"] == "gauss-steer"
@@ -63,8 +64,8 @@ class TestClassify:
         _, out, _ = run_cli(capsys, "generate", "channel", "--seed", "5")
         path = tmp_path / "chan.json"
         path.write_text(out)
-        _, first, _ = run_cli(capsys, "classify", str(path), "--seed", "2", *FAST)
-        _, second, _ = run_cli(capsys, "classify", str(path), "--seed", "2", *FAST)
+        _, first, _ = run_cli(capsys, "classify", str(path))
+        _, second, _ = run_cli(capsys, "classify", str(path))
         assert first == second
 
     def test_non_cp_channel_exits_2(self, capsys, tmp_path):
@@ -107,7 +108,7 @@ class TestSuper:
 
         path = tmp_path / "sc.json"
         path.write_text(json.dumps(jsonio.superchannel_to_dict(mixing_superchannel())))
-        code, out, _ = run_cli(capsys, "super", str(path), *FAST)
+        code, out, _ = run_cli(capsys, "super", str(path))
         assert code == 0
         verdicts = json.loads(out)["verdicts"]
         assert verdicts["us_sufficient"] is False
@@ -131,14 +132,29 @@ class TestSuper:
 
 class TestRepro:
     def test_all_rows_pass(self, capsys):
-        code, out, _ = run_cli(capsys, "repro-paper", *FAST)
+        code, out, _ = run_cli(capsys, "repro-paper")
         assert code == 0
         assert "FAIL" not in out
 
     def test_json_envelope(self, capsys):
-        code, out, _ = run_cli(capsys, "repro-paper", "--json", *FAST)
+        code, out, _ = run_cli(capsys, "repro-paper", "--json")
         assert code == 0
         envelope = json.loads(out)
         assert envelope["all_pass"] is True
         assert all(row["passed"] for row in envelope["rows"])
         assert envelope["tol"] == 1e-8
+        assert envelope["solver"] == {"decision_margin": 1e-7}
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy backs only the falsify_grid oracle, which imports it on first use.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, gauss_steer.cli; print('scipy' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -8,7 +8,7 @@ from gauss_steer import channels as ch
 from gauss_steer import jsonio
 from gauss_steer import states as st
 from gauss_steer import superchannels as sch
-from gauss_steer.quantifier import SolverConfig, Verdict, VerdictState
+from gauss_steer.quantifier import Verdict, VerdictState
 from gauss_steer.symplectic import ModePartition
 
 P11 = ModePartition(1, 1)
@@ -97,8 +97,7 @@ class TestEvidenceSerialization:
     def test_report_dict_and_json(self):
         from gauss_steer.repro import amplifying_lossy_channel
 
-        cfg = SolverConfig(starts=6, samples=2000, seed=0)
-        rep = ch.classify(amplifying_lossy_channel(), cfg)
+        rep = ch.classify(amplifying_lossy_channel())
         d = jsonio.report_to_dict(rep)
         json.dumps(d)  # must be serializable as-is
         assert d["steering_annihilating"]["state"] == "HOLDS"

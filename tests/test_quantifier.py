@@ -3,16 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from families import symplectic_channel, with_noise
+from gauss_steer import channels as ch
 from gauss_steer.errors import DimensionError, InvalidParameterError
 from gauss_steer.quantifier import (
+    DECISION_MARGIN,
     QuantifiedCondition,
-    SolverConfig,
     VerdictState,
     decide,
     evaluate,
     evaluate_many,
     falsify_grid,
-    phase_one_candidates,
 )
 from gauss_steer.symplectic import ModePartition, omega, omega_hat
 
@@ -104,7 +105,7 @@ class TestConditionValidation:
 class TestDecide:
     def test_pure_minus_term_violated(self):
         cond = QuantifiedCondition(np.zeros((4, 4)), [], OMH)
-        v = decide(cond, SolverConfig(seed=1))
+        v = decide(cond)
         assert v.state is VerdictState.VIOLATED
         assert v.value == pytest.approx(-1.0, abs=1e-9)
         # witness must re-evaluate to the reported value
@@ -115,7 +116,7 @@ class TestDecide:
     def test_boundary_holds(self):
         # second term cancels the subtracted one exactly: gap is identically 0
         cond = QuantifiedCondition(np.zeros((4, 4)), [OMH], OMH)
-        v = decide(cond, SolverConfig(seed=2))
+        v = decide(cond)
         assert v.holds
         assert v.value == pytest.approx(0.0, abs=1e-12)
 
@@ -125,21 +126,22 @@ class TestDecide:
             h0 = rng.standard_normal((4, 4))
             h = h0 + h0.T
             cond = QuantifiedCondition(h, [], np.zeros((4, 4)))
-            v = decide(cond, SolverConfig(starts=8, samples=2000, seed=4))
+            v = decide(cond)
             lam = float(np.linalg.eigvalsh(h)[0])
             assert v.value == pytest.approx(lam, abs=1e-7)
             assert v.holds == (lam >= -1e-7)
 
     def test_tiny_minus_term_still_holds(self):
         cond = QuantifiedCondition(np.eye(4), [], 1e-12 * OMH)
-        assert decide(cond, SolverConfig(seed=5)).holds
+        assert decide(cond).holds
 
     def test_deterministic_per_seed(self):
+        # decide draws no random numbers, so one condition always gets one verdict
         rng = np.random.default_rng(6)
         h0 = rng.standard_normal((4, 4))
         cond = QuantifiedCondition(h0 + h0.T, [OM2], OMH)
-        a = decide(cond, SolverConfig(seed=9))
-        b = decide(cond, SolverConfig(seed=9))
+        a = decide(cond)
+        b = decide(cond)
         assert a.state == b.state
         assert a.value == b.value
 
@@ -149,19 +151,19 @@ class TestDecide:
             h0 = rng.standard_normal((4, 4))
             h = h0 + h0.T
             cond = QuantifiedCondition(h, [OM2], OMH)
-            base = decide(cond, SolverConfig(starts=8, samples=2000, seed=8))
+            base = decide(cond)
             if base.holds:
                 bumped = QuantifiedCondition(h + 0.5 * np.eye(4), [OM2], OMH)
-                assert not decide(
-                    bumped, SolverConfig(starts=8, samples=2000, seed=8)
-                ).violated
+                assert not decide(bumped).violated
 
     def test_candidates_include_complex_vectors(self):
-        # g degenerates to w^T H w on real vectors, so the search must
-        # genuinely leave the real subspace.
-        cond = QuantifiedCondition(np.eye(4), [OM2], OMH)
-        cands = phase_one_candidates(cond, SolverConfig(samples=100, seed=0))
-        assert np.abs(cands.imag).max() > 0.1
+        # g degenerates to w^T H w = 1 on real vectors, so the violation
+        # (-1, at a circular vector) is only found off the real subspace.
+        cond = QuantifiedCondition(np.eye(4), [], 2.0 * OMH)
+        v = decide(cond)
+        assert v.violated
+        assert v.value == pytest.approx(-1.0, abs=1e-9)
+        assert np.abs(v.witness.imag).max() > 0.1
 
 
 class TestFalsifyGrid:
@@ -180,7 +182,7 @@ class TestFalsifyGrid:
         cond = QuantifiedCondition(2.0 * np.eye(4), [], OMH)
         assert falsify_grid(cond, 100000) is None
 
-    def test_agreement_with_decide(self, sweep_cfg):
+    def test_agreement_with_decide(self):
         # No instance may be declared HOLDS while the independent sweep
         # uncovers a genuine violation.
         rng = np.random.default_rng(10)
@@ -190,14 +192,85 @@ class TestFalsifyGrid:
             cond = QuantifiedCondition(
                 scale * (h0 @ h0.T), [OM2 * rng.uniform(0, 1.5)], OMH
             )
-            verdict = decide(cond, sweep_cfg)
+            verdict = decide(cond)
             witness = falsify_grid(cond, 100000)
             if verdict.holds:
                 grid_val = (
                     evaluate(cond, witness) if witness is not None else np.inf
                 )
-                assert grid_val >= -sweep_cfg.decision_margin
+                assert grid_val >= -DECISION_MARGIN
             if verdict.violated:
                 assert evaluate(cond, verdict.witness) == pytest.approx(
                     verdict.value, abs=1e-10
                 )
+
+
+def _dual_bound(cond) -> float:
+    """min over sigma of max over t of lambda_min, by scipy's bounded scalar search.
+
+    An independent route to the exact value: weak duality makes it a lower
+    bound on the gap of every unit vector.
+    """
+    from scipy.optimize import minimize_scalar
+
+    s = cond.plus_terms[0]
+    best = np.inf
+    for sig in (1.0, -1.0):
+
+        def neg_lam(t):
+            pencil = cond.h + 1j * sig * cond.minus_term - 1j * t * s
+            return -np.linalg.eigvalsh(pencil)[0]
+
+        res = minimize_scalar(
+            neg_lam, bounds=(-1.0, 1.0), method="bounded", options={"xatol": 1e-12}
+        )
+        best = min(best, max(-res.fun, -neg_lam(-1.0), -neg_lam(1.0)))
+    return best
+
+
+class TestExactDecider:
+    def test_more_than_one_plus_term_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            QuantifiedCondition(np.eye(4), [OM2, OMH], OMH)
+
+    @pytest.mark.parametrize("modes", [(1, 1), (1, 2), (2, 2)])
+    def test_shift_identity(self, modes):
+        # g contains w^dag M w, so on the unit sphere M + nu I shifts the
+        # value by exactly nu, on either side of the decision.
+        part = ModePartition(*modes)
+        for seed in range(4):
+            c = symplectic_channel(part, seed)
+            for build in (ch.sa_condition, ch.mus_condition):
+                base = decide(build(c)).value
+                for nu in (0.37, -0.2):
+                    moved = decide(build(with_noise(c, nu))).value
+                    assert moved == pytest.approx(base + nu, abs=1e-9)
+
+    def test_violated_witnesses_reach_the_exact_value(self):
+        interior = 0
+        for modes in ((1, 1), (1, 2), (2, 2)):
+            for seed in range(8):
+                c = symplectic_channel(ModePartition(*modes), seed)
+                for cond in (ch.sa_condition(c), ch.mus_condition(c)):
+                    v = decide(cond)
+                    if not v.violated:
+                        continue
+                    assert evaluate(cond, v.witness) == pytest.approx(
+                        v.value, abs=1e-10
+                    )
+                    assert v.value == pytest.approx(_dual_bound(cond), abs=1e-9)
+                    s_form = np.imag(v.witness.conj() @ cond.plus_terms[0] @ v.witness)
+                    interior += abs(s_form) < 1e-9
+        # most maxima over t are interior, where the S-form of the witness vanishes
+        assert interior >= 10
+
+    def test_degenerate_interior_maximum_mixes_the_eigenspace(self):
+        # lambda_min(t) = -1 - |t| on mode A: a kink at t* = 0 whose
+        # eigenvectors there are circular, with gap 0 instead of -1.  The
+        # mixed witness is real on mode A and reaches -1.
+        cond = QuantifiedCondition(np.diag([-1.0, -1.0, 1.0, 1.0]), [OM2], 0.5 * OMH)
+        v = decide(cond)
+        assert v.violated
+        assert v.value == pytest.approx(-1.0, abs=1e-12)
+        assert evaluate(cond, v.witness) == pytest.approx(v.value, abs=1e-10)
+        assert np.linalg.norm(v.witness[2:]) < 1e-9

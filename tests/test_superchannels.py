@@ -196,17 +196,17 @@ class TestMusSufficient:
         assert sch.mus_sufficient(s).holds
         assert not sch.us_sufficient(s)
 
-    def test_certified_superchannel_preserves_mus(self, sweep_cfg):
+    def test_certified_superchannel_preserves_mus(self):
         s = unsteerable_superchannel(5)
-        assert sch.mus_sufficient(s, sweep_cfg).holds
+        assert sch.mus_sufficient(s).holds
         checked = 0
         for seed in range(50):
             c = unsteerable_channel(seed)
-            if not ch.is_maximal_unsteerable(c, sweep_cfg).holds:
+            if not ch.is_maximal_unsteerable(c).holds:
                 continue
             checked += 1
             out = sch.apply_to_channel(s, c)
-            assert not ch.is_maximal_unsteerable(out, sweep_cfg).violated
+            assert not ch.is_maximal_unsteerable(out).violated
             if checked >= 15:
                 break
         assert checked > 0
@@ -257,17 +257,17 @@ class TestEqualityFormEquivalence:
 
 
 class TestNuIrrelevance:
-    def test_shifting_nu_changes_no_verdict(self, sweep_cfg):
+    def test_shifting_nu_changes_no_verdict(self):
         base = sch.random_superchannel(P11, 9)
         shifted = sch.GaussianSuperchannel(
             P11, base.A, base.E, base.Y, base.nu + np.array([4.0, -1.0, 0.5, 2.0])
         )
         assert sch.us_sufficient(base) == sch.us_sufficient(shifted)
         assert (
-            sch.mus_sufficient(base, sweep_cfg).state
-            == sch.mus_sufficient(shifted, sweep_cfg).state
+            sch.mus_sufficient(base).state
+            == sch.mus_sufficient(shifted).state
         )
         assert (
-            sch.chain_sufficient(base, sweep_cfg, "US").state
-            == sch.chain_sufficient(shifted, sweep_cfg, "US").state
+            sch.chain_sufficient(base, "US").state
+            == sch.chain_sufficient(shifted, "US").state
         )
