@@ -31,22 +31,23 @@ from .errors import (
     InvalidChannelError,
     InvalidParameterError,
     InvalidStateError,
-    NotHermitianError,
 )
 from .quantifier import QuantifiedCondition, Verdict, decide
 from .states import (
-    DEFAULT_TOL,
     GENERATOR_MARGIN,
     GaussianState,
     _random_pure_cm,
+    _random_valid_cm,
     _swap_permutation,
     is_valid_state,
 )
 from .symplectic import (
+    TOL,
     ModePartition,
     PsdCheck,
-    _opnorm,
+    criterion_matrix,
     direct_sum,
+    hermitian_part,
     is_psd,
     min_eigenvalue,
     omega,
@@ -77,9 +78,7 @@ class GaussianChannel:
             raise DimensionError(f"K shape {k.shape} does not match 2N = {dim}")
         if m.shape != (dim, dim):
             raise DimensionError(f"M shape {m.shape} does not match 2N = {dim}")
-        if _opnorm(m - m.T) > 1e-8 * (1.0 + _opnorm(m)):
-            raise NotHermitianError("M must be symmetric")
-        m = 0.5 * (m + m.T)
+        m = hermitian_part(m, "M")
         d = np.zeros(dim) if self.d is None else np.array(self.d, dtype=float)
         if d.shape != (dim,):
             raise DimensionError(f"displacement shape {d.shape}, expected ({dim},)")
@@ -93,23 +92,24 @@ class GaussianChannel:
         return apply(self, state)
 
 
-def cp_check(channel: GaussianChannel, tol: float = DEFAULT_TOL) -> PsdCheck:
+def cp_check(channel: GaussianChannel, tol: float = TOL) -> PsdCheck:
     """Complete-positivity certificate M + i omega - i K omega K^T >= 0."""
     om = omega(channel.partition.modes)
-    return is_psd(channel.M + 1j * om - 1j * channel.K @ om @ channel.K.T, tol)
+    return is_psd(criterion_matrix(channel.M, om, channel.K, om), tol)
 
 
-def is_valid_channel(channel: GaussianChannel, tol: float = DEFAULT_TOL) -> bool:
+def is_valid_channel(channel: GaussianChannel, tol: float = TOL) -> bool:
     return bool(cp_check(channel, tol))
 
 
-def _require_cp(channel: GaussianChannel, tol: float = DEFAULT_TOL) -> None:
+def _require_cp(channel: GaussianChannel, tol: float = TOL) -> PsdCheck:
     check = cp_check(channel, tol)
     if not check:
         raise InvalidChannelError(
             "completely positive condition violated "
             f"(min eigenvalue {check.min_eigenvalue:.6e})"
         )
+    return check
 
 
 def apply(channel: GaussianChannel, state: GaussianState) -> GaussianState:
@@ -206,29 +206,25 @@ def swap_subsystems(channel: GaussianChannel) -> GaussianChannel:
 # ---------------------------------------------------------------------------
 
 
-def unsteerable_check(channel: GaussianChannel, tol: float = DEFAULT_TOL) -> PsdCheck:
+def unsteerable_check(channel: GaussianChannel, tol: float = TOL) -> PsdCheck:
     _require_cp(channel, tol)
     oh = omega_hat(channel.partition)
-    return is_psd(channel.M + 1j * oh - 1j * channel.K @ oh @ channel.K.T, tol)
+    return is_psd(criterion_matrix(channel.M, oh, channel.K, oh), tol)
 
 
-def is_unsteerable_channel(channel: GaussianChannel, tol: float = DEFAULT_TOL) -> bool:
+def is_unsteerable_channel(channel: GaussianChannel, tol: float = TOL) -> bool:
     """Unsteerable-channel certificate: M + i omega_hat - K (i omega_hat) K^T >= 0."""
     return bool(unsteerable_check(channel, tol))
 
 
-def sa_sufficient_check(channel: GaussianChannel, tol: float = DEFAULT_TOL) -> PsdCheck:
+def sa_sufficient_check(channel: GaussianChannel, tol: float = TOL) -> PsdCheck:
     _require_cp(channel, tol)
     part = channel.partition
-    return is_psd(
-        channel.M
-        + 1j * omega_hat(part)
-        - 1j * channel.K @ omega(part.modes) @ channel.K.T,
-        tol,
-    )
+    matrix = criterion_matrix(channel.M, omega_hat(part), channel.K, omega(part.modes))
+    return is_psd(matrix, tol)
 
 
-def sa_sufficient(channel: GaussianChannel, tol: float = DEFAULT_TOL) -> bool:
+def sa_sufficient(channel: GaussianChannel, tol: float = TOL) -> bool:
     """Sufficient (not necessary) PSD certificate for steering annihilation.
 
     Note the asymmetry: the full symplectic form sits inside the K sandwich
@@ -237,15 +233,13 @@ def sa_sufficient(channel: GaussianChannel, tol: float = DEFAULT_TOL) -> bool:
     return bool(sa_sufficient_check(channel, tol))
 
 
-def steering_breaking_check(
-    channel: GaussianChannel, tol: float = DEFAULT_TOL
-) -> PsdCheck:
+def steering_breaking_check(channel: GaussianChannel, tol: float = TOL) -> PsdCheck:
     _require_cp(channel, tol)
     om = omega(channel.partition.modes)
-    return is_psd(channel.M - 1j * channel.K @ om @ channel.K.T, tol)
+    return is_psd(criterion_matrix(channel.M, 0.0, channel.K, om), tol)
 
 
-def is_steering_breaking(channel: GaussianChannel, tol: float = DEFAULT_TOL) -> bool:
+def is_steering_breaking(channel: GaussianChannel, tol: float = TOL) -> bool:
     """Steering-breaking certificate: M - i K omega K^T >= 0."""
     return bool(steering_breaking_check(channel, tol))
 
@@ -337,20 +331,13 @@ class ClassificationReport:
             )
 
 
-def classify(
-    channel: GaussianChannel, tol: float = DEFAULT_TOL
-) -> ClassificationReport:
+def classify(channel: GaussianChannel, tol: float = TOL) -> ClassificationReport:
     """Run every classification predicate and assemble a consistent report.
 
     Raises :class:`InvalidChannelError` for non-CP input (the individual
     predicates are undefined there).
     """
-    cp = cp_check(channel, tol)
-    if not cp:
-        raise InvalidChannelError(
-            "completely positive condition violated "
-            f"(min eigenvalue {cp.min_eigenvalue:.6e})"
-        )
+    cp = _require_cp(channel, tol)
     us = unsteerable_check(channel, tol)
     eq_sa = sa_sufficient_check(channel, tol)
     sb = steering_breaking_check(channel, tol)
@@ -395,7 +382,7 @@ def monte_carlo_sa_oracle(
     channel: GaussianChannel,
     trials: int,
     seed: int,
-    tol: float = DEFAULT_TOL,
+    tol: float = TOL,
 ) -> FalsifierResult:
     """Search for a valid input whose image under the channel is steerable.
 
@@ -407,15 +394,11 @@ def monte_carlo_sa_oracle(
     _require_cp(channel, tol)
     part = channel.partition
     rng = np.random.default_rng(seed)
-    dim = part.dim
     om = omega(part.modes)
     oh = omega_hat(part)
     for t in range(trials):
         if t % 2 == 0:
-            g = rng.standard_normal((dim, dim))
-            cm = g.T @ g
-            lam = min_eigenvalue(cm + 1j * om)
-            cm = cm + (max(0.0, -lam) + GENERATOR_MARGIN) * np.eye(dim)
+            cm = _random_valid_cm(rng, om)
         else:
             cm = _random_pure_cm(part, rng)
         out = channel.K @ cm @ channel.K.T + channel.M
@@ -442,6 +425,6 @@ def random_channel(partition: ModePartition, seed: int) -> GaussianChannel:
     g = rng.standard_normal((dim, dim))
     m = g @ g.T
     om = omega(partition.modes)
-    lam = min_eigenvalue(m + 1j * om - 1j * k @ om @ k.T)
+    lam = min_eigenvalue(criterion_matrix(m, om, k, om))
     m = m + max(0.0, -lam + GENERATOR_MARGIN) * np.eye(dim)
     return GaussianChannel(partition, k, m)

@@ -8,7 +8,7 @@ shipped under docs/schemas and kept in sync by a test.
 """
 
 import json
-import math
+import sys
 from typing import Any, Dict
 
 import jsonschema
@@ -65,18 +65,24 @@ SCHEMAS = {
     "superchannel": SUPERCHANNEL_SCHEMA,
 }
 
+_MAX_DOUBLE = sys.float_info.max
+
 
 def _reject_constant(token: str):
     raise ValueError(f"non-finite number {token!r} is not accepted")
 
 
 def loads_strict(text: str) -> Any:
-    """Parse JSON, rejecting NaN/Infinity tokens outright."""
-    return json.loads(text, parse_constant=_reject_constant)
+    """Parse JSON, rejecting NaN/Infinity tokens and too-deep nesting outright."""
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def _ensure_finite(obj, path="$"):
-    if isinstance(obj, float) and not math.isfinite(obj):
+    # JSON integers are unbounded, so they are range-checked too (NaN fails <=)
+    if isinstance(obj, (int, float)) and not abs(obj) <= _MAX_DOUBLE:
         raise SchemaError(f"non-finite number at {path}")
     if isinstance(obj, list):
         for i, item in enumerate(obj):

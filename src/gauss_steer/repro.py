@@ -15,7 +15,9 @@ from . import channels as ch
 from . import superchannels as sch
 from .states import two_mode_squeezed, vacuum
 from .symplectic import (
+    TOL,
     ModePartition,
+    criterion_matrix,
     min_eigenvalue,
     omega,
     omega_hat,
@@ -97,7 +99,7 @@ def _row(name, passed, detail, **evidence) -> ReproRow:
     return ReproRow(name, bool(passed), detail, dict(evidence))
 
 
-def run_reference_suite(tol: float = 1e-8, seed: int = 0) -> List[ReproRow]:
+def run_reference_suite(tol: float = TOL, seed: int = 0) -> List[ReproRow]:
     """Recompute every bundled reference fact; one row per assertion.
 
     ``seed`` drives the Monte-Carlo input oracle, the only sampled check.
@@ -111,7 +113,7 @@ def run_reference_suite(tol: float = 1e-8, seed: int = 0) -> List[ReproRow]:
     expected_cp[0, 1], expected_cp[1, 0] = -0.0609j, 0.0609j
     expected_cp[2, 3], expected_cp[3, 2] = 0.99j, -0.99j
     om = omega(2)
-    cp_matrix = amp.M + 1j * om - 1j * amp.K @ om @ amp.K.T
+    cp_matrix = criterion_matrix(amp.M, om, amp.K, om)
     rows.append(
         _row(
             "amplifying-lossy: CP matrix entries and positivity",
@@ -166,7 +168,7 @@ def run_reference_suite(tol: float = 1e-8, seed: int = 0) -> List[ReproRow]:
     expected[0, 0] = expected[1, 1] = 0.75
     expected[0, 1], expected[1, 0] = -0.25j, 0.25j
     oh = omega_hat(att.partition)
-    sa_matrix = att.M + 1j * oh - 1j * att.K @ omega(2) @ att.K.T
+    sa_matrix = criterion_matrix(att.M, oh, att.K, omega(2))
     rows.append(
         _row(
             "attenuator-on-A: PSD sufficient condition holds with displayed blocks",
@@ -242,7 +244,7 @@ def run_reference_suite(tol: float = 1e-8, seed: int = 0) -> List[ReproRow]:
     oh1 = omega_hat(probe.partition)
     w = probe.cm.astype(complex) + 1j * oh1
     sc_block = schur_complement(w, 2 * lossy.partition.modes)
-    direct = lossy.M - 1j * lossy.K @ omega(1) @ lossy.K.T
+    direct = criterion_matrix(lossy.M, 0.0, lossy.K, omega(1))
     diff = abs(min_eigenvalue(sc_block) - min_eigenvalue(direct))
     rows.append(
         _row(

@@ -11,24 +11,18 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    InvalidParameterError,
-    InvalidStateError,
-    NotHermitianError,
-)
+from .errors import DimensionError, InvalidParameterError, InvalidStateError
 from .symplectic import (
+    TOL,
     ModePartition,
-    _opnorm,
     direct_sum,
+    hermitian_part,
     is_psd,
     min_eigenvalue,
     omega,
     omega_hat,
     random_orthosymplectic,
 )
-
-DEFAULT_TOL = 1e-8
 
 # Random generators shift eigenvalues to at least this distance from the
 # PSD boundary so property sweeps never sit on it.
@@ -55,9 +49,7 @@ class GaussianState:
             raise DimensionError(
                 f"covariance matrix shape {cm.shape} does not match 2N = {dim}"
             )
-        if _opnorm(cm - cm.T) > 1e-8 * (1.0 + _opnorm(cm)):
-            raise NotHermitianError("covariance matrix must be symmetric")
-        cm = 0.5 * (cm + cm.T)
+        cm = hermitian_part(cm, "covariance matrix")
         cm.setflags(write=False)
         d = np.zeros(dim) if self.d is None else np.array(self.d, dtype=float)
         if d.shape != (dim,):
@@ -67,12 +59,12 @@ class GaussianState:
         object.__setattr__(self, "d", d)
 
 
-def is_valid_state(state: GaussianState, tol: float = DEFAULT_TOL) -> bool:
+def is_valid_state(state: GaussianState, tol: float = TOL) -> bool:
     """Physicality certificate: cm + i omega(N) >= 0."""
     return bool(is_psd(state.cm + 1j * omega(state.partition.modes), tol))
 
 
-def is_unsteerable(state: GaussianState, tol: float = DEFAULT_TOL) -> bool:
+def is_unsteerable(state: GaussianState, tol: float = TOL) -> bool:
     """A -> B unsteerability certificate: cm + i omega_hat >= 0.
 
     Requires a valid state; displacements are ignored.
@@ -138,13 +130,16 @@ def random_state(partition: ModePartition, seed: int) -> GaussianState:
     generator margin, so results are valid but typically close to the
     physicality boundary (which is where interesting steering inputs live).
     """
-    rng = np.random.default_rng(seed)
-    dim = partition.dim
+    cm = _random_valid_cm(np.random.default_rng(seed), omega(partition.modes))
+    return GaussianState(partition, cm)
+
+
+def _random_valid_cm(rng: np.random.Generator, om: np.ndarray) -> np.ndarray:
+    dim = om.shape[0]
     g = rng.standard_normal((dim, dim))
     cm = g.T @ g
-    lam = min_eigenvalue(cm + 1j * omega(partition.modes))
-    cm = cm + (max(0.0, -lam) + GENERATOR_MARGIN) * np.eye(dim)
-    return GaussianState(partition, cm)
+    lam = min_eigenvalue(cm + 1j * om)
+    return cm + (max(0.0, -lam) + GENERATOR_MARGIN) * np.eye(dim)
 
 
 def random_unsteerable_state(partition: ModePartition, seed: int) -> GaussianState:

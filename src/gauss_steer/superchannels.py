@@ -19,22 +19,16 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .channels import (
-    GaussianChannel,
-    is_maximal_unsteerable,
-    unsteerable_check,
-)
-from .errors import (
-    DimensionError,
-    InvalidParameterError,
-    InvalidSuperchannelError,
-    NotHermitianError,
-)
+from .channels import GaussianChannel
+from .errors import DimensionError, InvalidSuperchannelError
 from .quantifier import QuantifiedCondition, Verdict, VerdictState, decide
-from .states import DEFAULT_TOL, GENERATOR_MARGIN
+from .states import GENERATOR_MARGIN
 from .symplectic import (
+    TOL,
     ModePartition,
     _opnorm,
+    criterion_matrix,
+    hermitian_part,
     is_psd,
     min_eigenvalue,
     omega,
@@ -67,9 +61,7 @@ class GaussianSuperchannel:
         for name, arr in (("A", a), ("E", e), ("Y", y)):
             if arr.shape != (dim, dim):
                 raise DimensionError(f"{name} shape {arr.shape} != 2N = {dim}")
-        if _opnorm(y - y.T) > 1e-8 * (1.0 + _opnorm(y)):
-            raise NotHermitianError("Y must be symmetric")
-        y = 0.5 * (y + y.T)
+        y = hermitian_part(y, "Y")
         nu = np.zeros(dim) if self.nu is None else np.array(self.nu, dtype=float)
         if nu.shape != (dim,):
             raise DimensionError(f"nu shape {nu.shape}, expected ({dim},)")
@@ -88,20 +80,18 @@ def identity_superchannel(partition: ModePartition) -> GaussianSuperchannel:
     )
 
 
-def is_valid_superchannel(
-    sc: GaussianSuperchannel, tol: float = DEFAULT_TOL
-) -> bool:
+def is_valid_superchannel(sc: GaussianSuperchannel, tol: float = TOL) -> bool:
     """Admissibility: E orthogonal plus the two PSD conditions on (A, Y) and E."""
     dim = sc.partition.dim
     if _opnorm(sc.E @ sc.E.T - np.eye(dim)) > tol * (1.0 + _opnorm(sc.E)):
         return False
     om = omega(sc.partition.modes)
-    if not is_psd(sc.Y + 1j * om - 1j * sc.A @ om @ sc.A.T, tol):
+    if not is_psd(criterion_matrix(sc.Y, om, sc.A, om), tol):
         return False
-    return bool(is_psd(1j * om - 1j * sc.E @ om @ sc.E.T, tol))
+    return bool(is_psd(criterion_matrix(0.0, om, sc.E, om), tol))
 
 
-def _require_valid(sc: GaussianSuperchannel, tol: float = DEFAULT_TOL) -> None:
+def _require_valid(sc: GaussianSuperchannel, tol: float = TOL) -> None:
     if not is_valid_superchannel(sc, tol):
         raise InvalidSuperchannelError(
             "superchannel fails its admissibility conditions"
@@ -141,39 +131,40 @@ def decompose(
     return pre, post
 
 
-def us_check(sc: GaussianSuperchannel, tol: float = DEFAULT_TOL):
+def us_check(sc: GaussianSuperchannel, tol: float = TOL):
     """Evidence pair for the unsteerable-superchannel certificate.
 
     Returns (PsdCheck for Y + i omega_hat - A (i omega_hat) A^T, residual
     norm of omega_hat - E omega_hat E^T).  The second condition is an
     equality: the PSD form of the E condition involves a traceless Hermitian
-    matrix, which is positive semidefinite only when it vanishes.
+    matrix, which is positive semidefinite only when it vanishes.  The two
+    legs are the unsteerable-channel conditions of the post and pre channels
+    of :func:`decompose`.
     """
     _require_valid(sc, tol)
     oh = omega_hat(sc.partition)
-    psd = is_psd(sc.Y + 1j * oh - 1j * sc.A @ oh @ sc.A.T, tol)
+    psd = is_psd(criterion_matrix(sc.Y, oh, sc.A, oh), tol)
     residual = float(np.abs(oh - sc.E @ oh @ sc.E.T).max())
     return psd, residual
 
 
-def us_sufficient(sc: GaussianSuperchannel, tol: float = DEFAULT_TOL) -> bool:
-    """Sufficient certificate for an unsteerable superchannel."""
+def us_sufficient(sc: GaussianSuperchannel, tol: float = TOL) -> bool:
+    """Sufficient certificate for an unsteerable superchannel.
+
+    The equality leg passes when residual <= tol * (1 + ||E||).
+    """
     psd, residual = us_check(sc, tol)
-    return bool(psd) and residual <= 1e-9 * (1.0 + _opnorm(sc.E))
-
-
-def _combine(first: Verdict, second: Verdict) -> Verdict:
-    """Conjunction of two verdicts: the first violation wins."""
-    for v in (first, second):
-        if v.violated:
-            return v
-    return Verdict(VerdictState.HOLDS, min(first.value, second.value))
+    return bool(psd) and residual <= tol * (1.0 + _opnorm(sc.E))
 
 
 def mus_conditions(
     sc: GaussianSuperchannel,
 ) -> Tuple[QuantifiedCondition, QuantifiedCondition]:
-    """The two quantified conditions certifying a maximal unsteerable superchannel."""
+    """The two quantified conditions certifying a maximal unsteerable superchannel.
+
+    They are the maximal-unsteerable conditions of the post and pre channels
+    of :func:`decompose`, in that order.
+    """
     oh = omega_hat(sc.partition)
     sig = sigma(sc.partition.modes)
     f = sig @ sc.E.T @ sig
@@ -185,40 +176,15 @@ def mus_conditions(
 def mus_sufficient(sc: GaussianSuperchannel) -> Verdict:
     """Sufficient certificate for a maximal unsteerable superchannel.
 
-    HOLDS only when both quantified conditions hold; a violation of either
-    is reported with its witness.
+    HOLDS only when both quantified conditions hold; otherwise the first
+    violated one (post, then pre) is reported with its witness.
     """
     _require_valid(sc)
-    cond_post, cond_pre = mus_conditions(sc)
-    return _combine(decide(cond_post), decide(cond_pre))
-
-
-def chain_sufficient(sc: GaussianSuperchannel, mode: str = "US") -> Verdict:
-    """Certify via the canonical decomposition: both factor channels free.
-
-    ``mode="US"`` checks the PSD unsteerable-channel certificate on the pre
-    and post channels; ``mode="MUS"`` runs the quantified maximal
-    unsteerability check on both.  Only the canonical factorization is
-    searched, so as with the other certificates a non-HOLDS outcome proves
-    nothing about the superchannel itself.
-    """
-    pre, post = decompose(sc)
-    if mode == "US":
-        verdicts = []
-        for ch in (pre, post):
-            check = unsteerable_check(ch, DEFAULT_TOL)
-            if check:
-                verdicts.append(Verdict(VerdictState.HOLDS, check.min_eigenvalue))
-            else:
-                verdicts.append(
-                    Verdict(
-                        VerdictState.VIOLATED, check.min_eigenvalue, check.witness
-                    )
-                )
-        return _combine(*verdicts)
-    if mode == "MUS":
-        return _combine(is_maximal_unsteerable(pre), is_maximal_unsteerable(post))
-    raise InvalidParameterError(f"mode must be 'US' or 'MUS', got {mode!r}")
+    verdicts = [decide(cond) for cond in mus_conditions(sc)]
+    for v in verdicts:
+        if v.violated:
+            return v
+    return Verdict(VerdictState.HOLDS, min(v.value for v in verdicts))
 
 
 def random_superchannel(partition: ModePartition, seed: int) -> GaussianSuperchannel:
@@ -236,7 +202,7 @@ def random_superchannel(partition: ModePartition, seed: int) -> GaussianSupercha
     g = rng.standard_normal((dim, dim))
     y = g @ g.T
     om = omega(partition.modes)
-    lam = min_eigenvalue(y + 1j * om - 1j * a @ om @ a.T)
+    lam = min_eigenvalue(criterion_matrix(y, om, a, om))
     y = y + max(0.0, -lam + GENERATOR_MARGIN) * np.eye(dim)
     nu = rng.standard_normal(dim)
     return GaussianSuperchannel(partition, a, e, y, nu)

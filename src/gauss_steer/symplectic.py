@@ -12,12 +12,11 @@ import numpy as np
 
 from .errors import DimensionError, NotHermitianError, SingularBlockError
 
-# Default relative tolerance for PSD certificates.  The classification
-# criteria are exact inequalities; inputs are floating point.
-PSD_TOL = 1e-9
-
-# Relative asymmetry above which an input is rejected instead of symmetrized.
-HERMITIAN_ATOL = 1e-8
+# The one relative tolerance: a PSD certificate passes when its smallest
+# eigenvalue is at least -TOL * (1 + ||X||), and an input claimed symmetric
+# (or antisymmetric) is rejected when it misses by more than TOL * (1 + ||X||).
+# The classification criteria are exact inequalities; inputs are floating point.
+TOL = 1e-8
 
 _SINGLE_MODE_FORM = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -111,20 +110,27 @@ def _opnorm(h: np.ndarray) -> float:
     return float(np.abs(h).sum(axis=1).max())
 
 
-def hermitian_part(h) -> np.ndarray:
-    """Return (H + H^dag)/2, rejecting inputs that are not close to Hermitian.
+def check_symmetry(h: np.ndarray, name: str, anti: bool = False) -> None:
+    """Reject ``h`` unless H^dag = H (or -H when ``anti``) up to ``TOL``.
 
-    Asymmetry beyond ``HERMITIAN_ATOL`` times the norm of H is treated as an
-    input error rather than silently averaged away.
+    Asymmetry beyond ``TOL`` times the norm of H is treated as an input error
+    rather than silently averaged away.  For real matrices Hermitian means
+    symmetric.  The error names ``name``.
     """
-    h = _as_square(h)
-    sym = 0.5 * (h + h.conj().T)
-    asym = _opnorm(h - h.conj().T)
-    if asym > HERMITIAN_ATOL * (1.0 + _opnorm(h)):
+    adj = h.conj().T
+    dev = _opnorm(h + adj if anti else h - adj)
+    if dev > TOL * (1.0 + _opnorm(h)):
+        kind = "anti-Hermitian" if anti else "Hermitian"
         raise NotHermitianError(
-            f"matrix deviates from Hermitian by {asym:.3e} (norm {_opnorm(h):.3e})"
+            f"{name} deviates from {kind} by {dev:.3e} (norm {_opnorm(h):.3e})"
         )
-    return sym
+
+
+def hermitian_part(h, name: str = "matrix") -> np.ndarray:
+    """Return (H + H^dag)/2 after :func:`check_symmetry` accepts H."""
+    h = _as_square(h)
+    check_symmetry(h, name)
+    return 0.5 * (h + h.conj().T)
 
 
 def min_eigenvalue(h) -> float:
@@ -153,7 +159,16 @@ class PsdCheck:
         return self.ok
 
 
-def is_psd(h, tol: float = PSD_TOL) -> PsdCheck:
+def criterion_matrix(x, outer, k, inner) -> np.ndarray:
+    """X + i outer - i K inner K^T, the matrix every PSD criterion here tests.
+
+    CP validity, the channel classes and superchannel admissibility differ
+    only in which symplectic forms (omega, omega_hat or 0) fill the slots.
+    """
+    return x + 1j * outer - 1j * k @ inner @ k.T
+
+
+def is_psd(h, tol: float = TOL) -> PsdCheck:
     """Certify H >= 0 up to a relative threshold -tol * (1 + ||H||).
 
     The relative form keeps boundary objects (pure lossy channels, the

@@ -426,3 +426,30 @@ def test_criterion_10_planted_margin():
         f"{counts[PLANTED]} HOLDS unrefuted, {counts[-PLANTED]} VIOLATED found by the grid",
         failures,
     )
+
+
+# Criterion 7's SA => MUS check on channels one planted margin inside SA.
+# SA is a subset of MUS by definition, and Monte-Carlo inputs into such a
+# channel give unsteerable outputs, yet the MUS condition comes out VIOLATED
+# on almost all of them: the condition is stronger than the class.  Criterion
+# 7's random pool never reaches this region.
+@pytest.mark.xfail(strict=True, reason="MUS condition too strong on SA-interior channels")
+def test_sa_implies_mus_on_planted_sa_channels():
+    failures = []
+    checked = 0
+    for modes in ((1, 1), (1, 2), (2, 2)):
+        for seed in range(12):
+            c = symplectic_channel(ModePartition(*modes), seed)
+            nu = PLANTED - decide(ch.sa_condition(c)).value
+            if nu < 0.0:
+                continue  # lowering M could break complete positivity
+            c = with_noise(c, nu)
+            if not decide(ch.sa_condition(c)).holds:
+                failures.append(f"{modes} seed {seed}: planted SA margin not HOLDS")
+                continue
+            checked += 1
+            v = decide(ch.mus_condition(c))
+            if v.violated:
+                failures.append(f"{modes} seed {seed}: MUS VIOLATED at {v.value:.3g}")
+    assert checked >= 30, f"only {checked} planted channels"
+    assert not failures, f"{len(failures)} of {checked}: " + "; ".join(failures)

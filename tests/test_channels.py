@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from families import symplectic_channel, with_noise
 from gauss_steer import channels as ch
 from gauss_steer.errors import (
     GaussSteerError,
@@ -24,7 +27,8 @@ from gauss_steer.states import (
     two_mode_squeezed,
     vacuum,
 )
-from gauss_steer.symplectic import ModePartition
+from gauss_steer.quantifier import decide
+from gauss_steer.symplectic import ModePartition, direct_sum, random_orthosymplectic
 
 P11 = ModePartition(1, 1)
 
@@ -364,3 +368,53 @@ class TestEq7ImpliesMus:
             if checked >= 20:
                 break
         assert checked > 0
+
+
+PSD_PREDICATES = (
+    ch.cp_check,
+    ch.unsteerable_check,
+    ch.sa_sufficient_check,
+    ch.steering_breaking_check,
+)
+
+
+def local_passive(partition: ModePartition, rng) -> np.ndarray:
+    """O_A (+) O_B with orthosymplectic blocks; it fixes omega and omega_hat."""
+    sides = (partition.m, partition.n)
+    return direct_sum(*[random_orthosymplectic(k, rng) for k in sides if k > 0])
+
+
+class TestLocalPassiveInvariance:
+    """K -> O2 K O1, M -> O2 M O2^T conjugates every criterion matrix by O2.
+
+    So every PSD minimum eigenvalue and both quantified values are unchanged.
+    The predicates are called directly: classify also checks consistency,
+    which fails on some of these channels (see the acceptance suite).
+    """
+
+    @given(
+        family=st.sampled_from(["sa 0", "sa +0.05", "sa -0.05", "random"]),
+        modes=st.sampled_from([(1, 1), (1, 2), (2, 2), (0, 2)]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=160, deadline=None, derandomize=True)
+    def test_verdicts_unchanged(self, family, modes, seed):
+        part = ModePartition(*modes)
+        if family == "random":
+            c = ch.random_channel(part, seed)
+        else:
+            c = symplectic_channel(part, seed)
+            nu = float(family.split()[1]) - decide(ch.sa_condition(c)).value
+            assume(nu >= 0.0)  # lowering M could break complete positivity
+            c = with_noise(c, nu)
+        rng = np.random.default_rng(seed)
+        o_in, o_out = local_passive(part, rng), local_passive(part, rng)
+        moved = ch.GaussianChannel(part, o_out @ c.K @ o_in, o_out @ c.M @ o_out.T)
+        for predicate in PSD_PREDICATES:
+            before, after = predicate(c), predicate(moved)
+            assert after.ok == before.ok
+            assert after.min_eigenvalue == pytest.approx(before.min_eigenvalue, abs=1e-9)
+        for build in (ch.sa_condition, ch.mus_condition):
+            before, after = decide(build(c)), decide(build(moved))
+            assert after.state is before.state
+            assert after.value == pytest.approx(before.value, abs=1e-9)

@@ -7,7 +7,10 @@ import sys
 import pytest
 
 from gauss_steer import jsonio
-from gauss_steer.cli import main
+from gauss_steer.cli import build_parser, main
+from gauss_steer.symplectic import TOL
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +100,29 @@ class TestClassify:
         assert code == 1
         assert "schema" in err.lower()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100000,
+            json.dumps(
+                {
+                    "m": 1,
+                    "n": 1,
+                    "K": [[float(i == j) for j in range(4)] for i in range(4)],
+                    "M": [[0.0] * 4 for _ in range(4)],
+                    "d": [0.0] * 4,
+                }
+            ).replace("[0.0, 0.0, 0.0, 0.0]", "[1" + "0" * 400 + ", 0.0, 0.0, 0.0]", 1),
+        ],
+        ids=["deep-nesting", "integer-beyond-double"],
+    )
+    def test_unrepresentable_input_exits_1(self, capsys, tmp_path, text):
+        path = tmp_path / "odd.json"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "classify", str(path))
+        assert code == 1
+        assert err.startswith("error: ")
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "classify", "/nonexistent/chan.json")
         assert code == 1
@@ -113,7 +139,8 @@ class TestSuper:
         verdicts = json.loads(out)["verdicts"]
         assert verdicts["us_sufficient"] is False
         assert verdicts["mus_sufficient"]["state"] == "HOLDS"
-        assert verdicts["chain_us"]["state"] == "VIOLATED"
+        assert "chain_us" not in verdicts
+        assert verdicts["chain_mus"] == verdicts["mus_sufficient"]
 
     def test_non_orthogonal_e_exits_2(self, capsys, tmp_path):
         obj = {
@@ -142,14 +169,39 @@ class TestRepro:
         envelope = json.loads(out)
         assert envelope["all_pass"] is True
         assert all(row["passed"] for row in envelope["rows"])
-        assert envelope["tol"] == 1e-8
+        assert envelope["tol"] == TOL
         assert envelope["solver"] == {"decision_margin": 1e-7}
+
+
+@pytest.mark.parametrize("command", ["classify", "super", "repro-paper"])
+def test_tol_flag_defaults_to_tol(command):
+    argv = [command] if command == "repro-paper" else [command, "in.json"]
+    assert build_parser().parse_args(argv).tol == TOL
+
+
+def _src_env():
+    return dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
+def test_sweep_script_runs():
+    script = ROOT / "scripts" / "sweep_attenuator_regions.py"
+    out = subprocess.run(
+        [sys.executable, str(script), "--grid", "3"],
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0].startswith("cos_theta,n_th,unsteerable,")
+    assert len(lines) == 1 + 9
+    assert all(len(line.split(",")) == 7 for line in lines)
 
 
 def test_import_leaves_scipy_unloaded():
     # scipy backs only the falsify_grid oracle, which imports it on first use.
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = _src_env()
     out = subprocess.run(
         [sys.executable, "-c", "import sys, gauss_steer.cli; print('scipy' in sys.modules)"],
         env=env,

@@ -3,7 +3,7 @@ import pytest
 
 from gauss_steer import channels as ch
 from gauss_steer import superchannels as sch
-from gauss_steer.errors import InvalidParameterError, InvalidSuperchannelError
+from gauss_steer.errors import InvalidSuperchannelError
 from gauss_steer.repro import mixing_superchannel
 from gauss_steer.states import GENERATOR_MARGIN, two_mode_squeezed
 from gauss_steer.symplectic import (
@@ -163,6 +163,23 @@ class TestUsSufficient:
     def test_constructed_unsteerable_superchannels_pass(self):
         assert all(sch.us_sufficient(unsteerable_superchannel(s)) for s in range(30))
 
+    def test_equality_residual_follows_tol(self):
+        # identity superchannel except for a beam splitter at angle 5e-9
+        # between A and B: omega_hat is missed by about 5e-9
+        eps = 5e-9
+        e = np.block(
+            [
+                [np.cos(eps) * np.eye(2), np.sin(eps) * np.eye(2)],
+                [-np.sin(eps) * np.eye(2), np.cos(eps) * np.eye(2)],
+            ]
+        )
+        s = sch.GaussianSuperchannel(P11, np.eye(4), e, np.zeros((4, 4)))
+        assert sch.is_valid_superchannel(s, tol=1e-10)
+        _, residual = sch.us_check(s)
+        assert 1e-9 < residual < 1e-8
+        assert sch.us_sufficient(s)
+        assert not sch.us_sufficient(s, tol=1e-10)
+
     def test_preserves_unsteerable_channels(self):
         # certified superchannels map certified channels into the class
         s = unsteerable_superchannel(1)
@@ -212,26 +229,55 @@ class TestMusSufficient:
         assert checked > 0
 
 
+def chain_verdicts(s: sch.GaussianSuperchannel):
+    """Certify through the canonical decomposition: both factor channels free.
+
+    Returns (both factors unsteerable, [post, pre] maximal-unsteerable
+    verdicts), the route the direct certificates must agree with.
+    """
+    pre, post = sch.decompose(s)
+    us = ch.is_unsteerable_channel(pre) and ch.is_unsteerable_channel(post)
+    return us, [ch.is_maximal_unsteerable(c) for c in (post, pre)]
+
+
 class TestChainSufficient:
     def test_identity_both_modes(self):
         s = sch.identity_superchannel(P11)
-        assert sch.chain_sufficient(s, mode="US").holds
-        assert sch.chain_sufficient(s, mode="MUS").holds
+        us, mus = chain_verdicts(s)
+        assert us and sch.us_sufficient(s)
+        assert all(v.holds for v in mus) and sch.mus_sufficient(s).holds
 
     def test_attenuator_data_us_holds(self):
         att = ch.tensor_with_identity(ch.attenuator(np.arccos(0.5), 1.0), 1, "B")
         s = sch.GaussianSuperchannel(P11, att.K, np.eye(4), att.M)
         assert sch.is_valid_superchannel(s)
-        assert sch.chain_sufficient(s, mode="US").holds
+        assert chain_verdicts(s)[0]
+        assert sch.us_sufficient(s)
 
     def test_reference_superchannel_us_chain_violated(self):
-        v = sch.chain_sufficient(mixing_superchannel(), mode="US")
-        assert v.violated
-        assert v.value < 0.0
+        s = mixing_superchannel()
+        assert not chain_verdicts(s)[0]
+        assert not sch.us_sufficient(s)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            sch.chain_sufficient(sch.identity_superchannel(P11), mode="BOTH")
+    def test_direct_certificates_match_the_chain(self):
+        pool = [sch.random_superchannel(P11, seed) for seed in range(10)]
+        pool += [mixing_superchannel(), block_swap_superchannel()]
+        pool += [unsteerable_superchannel(seed) for seed in range(3)]
+        steerable_y = two_mode_squeezed(2.0).cm
+        for e in (np.eye(4), block_swap_superchannel().E):
+            # A = 0: the post condition fails; with the block swap, both fail
+            pool.append(sch.GaussianSuperchannel(P11, np.zeros((4, 4)), e, steerable_y))
+        for s in pool:
+            us, mus = chain_verdicts(s)
+            assert sch.us_sufficient(s) == us
+            direct = sch.mus_sufficient(s)
+            violated = [v for v in mus if v.violated]
+            if violated:
+                assert direct.violated
+                assert direct.value == violated[0].value
+            else:
+                assert direct.holds
+                assert direct.value == min(v.value for v in mus)
 
 
 class TestEqualityFormEquivalence:
@@ -266,8 +312,4 @@ class TestNuIrrelevance:
         assert (
             sch.mus_sufficient(base).state
             == sch.mus_sufficient(shifted).state
-        )
-        assert (
-            sch.chain_sufficient(base, "US").state
-            == sch.chain_sufficient(shifted, "US").state
         )

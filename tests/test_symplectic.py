@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,13 @@ from gauss_steer.errors import (
     NotHermitianError,
     SingularBlockError,
 )
+from gauss_steer.channels import GaussianChannel
+from gauss_steer.quantifier import QuantifiedCondition
+from gauss_steer.repro import run_reference_suite
 from gauss_steer.symplectic import (
+    TOL,
     ModePartition,
+    check_symmetry,
     is_psd,
     min_eigenvalue,
     omega,
@@ -145,6 +152,36 @@ class TestIsPsd:
         t = float(rng.uniform(0, 3))
         if is_psd(h):
             assert is_psd(h + t * np.eye(4))
+
+
+class TestTolerance:
+    def test_defaults_are_tol(self):
+        for fn in (is_psd, run_reference_suite):
+            assert inspect.signature(fn).parameters["tol"].default == TOL
+
+    def test_psd_threshold_is_relative(self):
+        # lambda >= -tol * (1 + ||X||), with ||X|| the max row sum
+        h = np.diag([-1.5 * TOL, 1.0])
+        check = is_psd(h)
+        assert check.ok and check.threshold == pytest.approx(2.0 * TOL)
+        assert not is_psd(np.diag([-2.5 * TOL, 1.0]))
+
+    def test_symmetry_rule(self):
+        near = np.array([[1.0, 1.0], [1.0 + 1.5 * TOL, 1.0]])  # norm about 2
+        check_symmetry(near, "X")
+        with pytest.raises(NotHermitianError, match="X"):
+            check_symmetry(np.array([[1.0, 1.0], [1.0 + 4.0 * TOL, 1.0]]), "X")
+        check_symmetry(SINGLE, "S", anti=True)
+        with pytest.raises(NotHermitianError, match="S"):
+            check_symmetry(SINGLE, "S")
+
+    def test_errors_name_the_field(self):
+        asym = np.eye(4)
+        asym[0, 1] = 1.0
+        with pytest.raises(NotHermitianError, match="M"):
+            GaussianChannel(ModePartition(1, 1), np.eye(4), asym)
+        with pytest.raises(NotHermitianError, match="minus term"):
+            QuantifiedCondition(np.eye(4), [], asym)
 
 
 class TestSchurComplement:
