@@ -1,21 +1,20 @@
 """Gaussian channels as (K, M, d) triples and their steering classification.
 
 A channel acts on covariance matrices as cm -> K cm K^T + M and on
-displacements as d -> K d + d0.  Four classification predicates are
-provided, each with machine-checkable evidence:
+displacements as d -> K d + d0.  Every class is one row of :data:`CRITERIA`,
+(kind, outer, inner), posed on the pair (K, X) = (K, M) by :func:`pose`:
 
-* unsteerable:            M + i omega_hat - K (i omega_hat) K^T >= 0
-* sa_sufficient:          M + i omega_hat - i K omega K^T >= 0
-                          (sufficient for steering-annihilating, not necessary)
-* steering-annihilating:  every Gaussian input maps to an unsteerable output;
-                          equivalent to a quantified quadratic-form inequality
-                          decided by :mod:`gauss_steer.quantifier`
-* maximal unsteerable:    every unsteerable input maps to an unsteerable
-                          output; same machinery with the K-sandwiched form
-                          replaced by the partial one
-* steering-breaking:      M - i K omega K^T >= 0; equivalent to the channel's
-                          squeezed-probe output being unsteerable in the
-                          infinite-squeezing limit
+* a ``psd`` row tests        X + i outer - i K inner K^T >= 0;
+* a ``quantified`` row asks  w^dag X w + |w^dag K inner K^T w| >= |w^dag outer w|
+  for every complex w, decided by :mod:`gauss_steer.quantifier`.
+
+The rows are complete positivity, unsteerable, the PSD sufficient condition
+for steering annihilation, steering-breaking (equivalently, the squeezed
+probe's output is unsteerable in the infinite-squeezing limit),
+steering-annihilating (every Gaussian input maps to an unsteerable output)
+and maximal unsteerable (every unsteerable input does).  :data:`INCLUSIONS`
+lists the set inclusions every report must respect.  The superchannel
+certificates pose the same rows on their own factors.
 
 Displacements never influence any predicate.
 """
@@ -45,8 +44,8 @@ from .symplectic import (
     TOL,
     ModePartition,
     PsdCheck,
-    criterion_matrix,
     direct_sum,
+    forms,
     hermitian_part,
     is_psd,
     min_eigenvalue,
@@ -55,13 +54,52 @@ from .symplectic import (
     sigma,
 )
 
+PSD, QUANTIFIED = "psd", "quantified"
+
+# name -> (kind, outer, inner); the slots name entries of symplectic.forms.
+CRITERIA = {
+    "cp_valid": (PSD, "omega", "omega"),
+    "unsteerable": (PSD, "omega_hat", "omega_hat"),
+    "sa_sufficient": (PSD, "omega_hat", "omega"),
+    "steering_breaking": (PSD, "zero", "omega"),
+    "steering_annihilating": (QUANTIFIED, "omega_hat", "omega"),
+    "maximal_unsteerable": (QUANTIFIED, "omega_hat", "omega_hat"),
+}
+PSD_ROWS = tuple(name for name, row in CRITERIA.items() if row[0] == PSD)
+QUANTIFIED_ROWS = tuple(name for name, row in CRITERIA.items() if row[0] == QUANTIFIED)
+
+# (subclass, superclass) pairs: a report in the first and not the second is
+# inconsistent.
+INCLUSIONS = (
+    ("sa_sufficient", "steering_annihilating"),
+    ("unsteerable", "maximal_unsteerable"),
+    ("steering_annihilating", "maximal_unsteerable"),
+)
+
+
+def pose(name: str, partition: ModePartition, k, x):
+    """Row ``name`` of :data:`CRITERIA` on the pair (K, X).
+
+    A PSD row gives its matrix X + i outer - i K inner K^T, a quantified row
+    its :class:`QuantifiedCondition`.
+    """
+    kind, outer, inner = CRITERIA[name]
+    f = forms(partition)
+    if kind == PSD:
+        return x + 1j * f[outer] - 1j * k @ f[inner] @ k.T
+    return QuantifiedCondition(x, [k @ f[inner] @ k.T], f[outer])
+
+
+def _posed(name: str, channel: "GaussianChannel"):
+    return pose(name, channel.partition, channel.K, channel.M)
+
 
 @dataclass(frozen=True, eq=False)
 class GaussianChannel:
     """Channel data (K, M, d) over a mode partition.
 
     M must be symmetric; complete positivity is a separate certificate
-    (:func:`is_valid_channel`) so that rejected candidates can still be
+    (:func:`cp_check`) so that rejected candidates can still be
     represented and reported on.
     """
 
@@ -93,13 +131,8 @@ class GaussianChannel:
 
 
 def cp_check(channel: GaussianChannel, tol: float = TOL) -> PsdCheck:
-    """Complete-positivity certificate M + i omega - i K omega K^T >= 0."""
-    om = omega(channel.partition.modes)
-    return is_psd(criterion_matrix(channel.M, om, channel.K, om), tol)
-
-
-def is_valid_channel(channel: GaussianChannel, tol: float = TOL) -> bool:
-    return bool(cp_check(channel, tol))
+    """Complete-positivity certificate, row ``cp_valid``; truthy when it holds."""
+    return is_psd(_posed("cp_valid", channel), tol)
 
 
 def _require_cp(channel: GaussianChannel, tol: float = TOL) -> PsdCheck:
@@ -206,72 +239,47 @@ def swap_subsystems(channel: GaussianChannel) -> GaussianChannel:
 # ---------------------------------------------------------------------------
 
 
-def unsteerable_check(channel: GaussianChannel, tol: float = TOL) -> PsdCheck:
+def _gated_check(name: str, channel: GaussianChannel, tol: float) -> PsdCheck:
     _require_cp(channel, tol)
-    oh = omega_hat(channel.partition)
-    return is_psd(criterion_matrix(channel.M, oh, channel.K, oh), tol)
+    return is_psd(_posed(name, channel), tol)
 
 
-def is_unsteerable_channel(channel: GaussianChannel, tol: float = TOL) -> bool:
-    """Unsteerable-channel certificate: M + i omega_hat - K (i omega_hat) K^T >= 0."""
-    return bool(unsteerable_check(channel, tol))
+def unsteerable_check(channel: GaussianChannel, tol: float = TOL) -> PsdCheck:
+    """Unsteerable-channel certificate, row ``unsteerable``."""
+    return _gated_check("unsteerable", channel, tol)
 
 
 def sa_sufficient_check(channel: GaussianChannel, tol: float = TOL) -> PsdCheck:
-    _require_cp(channel, tol)
-    part = channel.partition
-    matrix = criterion_matrix(channel.M, omega_hat(part), channel.K, omega(part.modes))
-    return is_psd(matrix, tol)
+    """Sufficient (not necessary) certificate for steering annihilation.
 
-
-def sa_sufficient(channel: GaussianChannel, tol: float = TOL) -> bool:
-    """Sufficient (not necessary) PSD certificate for steering annihilation.
-
-    Note the asymmetry: the full symplectic form sits inside the K sandwich
-    while only the partial form appears outside.
+    Row ``sa_sufficient``: the full symplectic form sits inside the K
+    sandwich while only the partial form appears outside.
     """
-    return bool(sa_sufficient_check(channel, tol))
+    return _gated_check("sa_sufficient", channel, tol)
 
 
 def steering_breaking_check(channel: GaussianChannel, tol: float = TOL) -> PsdCheck:
-    _require_cp(channel, tol)
-    om = omega(channel.partition.modes)
-    return is_psd(criterion_matrix(channel.M, 0.0, channel.K, om), tol)
-
-
-def is_steering_breaking(channel: GaussianChannel, tol: float = TOL) -> bool:
-    """Steering-breaking certificate: M - i K omega K^T >= 0."""
-    return bool(steering_breaking_check(channel, tol))
+    """Steering-breaking certificate, row ``steering_breaking``."""
+    return _gated_check("steering_breaking", channel, tol)
 
 
 def sa_condition(channel: GaussianChannel) -> QuantifiedCondition:
-    """Quantified form whose nonnegativity is equivalent to steering annihilation."""
-    part = channel.partition
-    return QuantifiedCondition(
-        channel.M,
-        [channel.K @ omega(part.modes) @ channel.K.T],
-        omega_hat(part),
-    )
+    """Quantified form equivalent to steering annihilation."""
+    return _posed("steering_annihilating", channel)
 
 
 def mus_condition(channel: GaussianChannel) -> QuantifiedCondition:
-    """Quantified form equivalent to maximal unsteerability.
-
-    Differs from :func:`sa_condition` only in the matrix inside the K
-    sandwich (partial instead of full symplectic form); both run against the
-    same solver so the two criteria cannot drift apart.
-    """
-    oh = omega_hat(channel.partition)
-    return QuantifiedCondition(channel.M, [channel.K @ oh @ channel.K.T], oh)
+    """Quantified form equivalent to maximal unsteerability."""
+    return _posed("maximal_unsteerable", channel)
 
 
-def is_steering_annihilating(channel: GaussianChannel) -> Verdict:
-    _require_cp(channel)
+def is_steering_annihilating(channel: GaussianChannel, tol: float = TOL) -> Verdict:
+    _require_cp(channel, tol)
     return decide(sa_condition(channel))
 
 
-def is_maximal_unsteerable(channel: GaussianChannel) -> Verdict:
-    _require_cp(channel)
+def is_maximal_unsteerable(channel: GaussianChannel, tol: float = TOL) -> Verdict:
+    _require_cp(channel, tol)
     return decide(mus_condition(channel))
 
 
@@ -312,48 +320,35 @@ class ClassificationReport:
     maximal_unsteerable: Verdict
     evidence: Dict[str, PsdCheck]
 
+    def _holds(self, name: str) -> bool:
+        flag = getattr(self, name)
+        return flag.holds if isinstance(flag, Verdict) else flag
+
     def check_consistency(self) -> None:
-        """Raise if the flags contradict the known set inclusions."""
-        if self.sa_sufficient and self.steering_annihilating.violated:
-            raise GaussSteerError(
-                "inconsistent report: PSD-sufficient condition holds but the "
-                "steering-annihilating verdict is VIOLATED"
-            )
-        if self.unsteerable and self.maximal_unsteerable.violated:
-            raise GaussSteerError(
-                "inconsistent report: unsteerable channel with a VIOLATED "
-                "maximal-unsteerable verdict"
-            )
-        if self.steering_annihilating.holds and self.maximal_unsteerable.violated:
-            raise GaussSteerError(
-                "inconsistent report: steering-annihilating channel with a "
-                "VIOLATED maximal-unsteerable verdict"
-            )
+        """Raise if the flags contradict one of :data:`INCLUSIONS`."""
+        for sub, sup in INCLUSIONS:
+            if self._holds(sub) and not self._holds(sup):
+                raise GaussSteerError(
+                    f"inconsistent report: {sub} holds but {sup} is VIOLATED"
+                )
 
 
 def classify(channel: GaussianChannel, tol: float = TOL) -> ClassificationReport:
-    """Run every classification predicate and assemble a consistent report.
+    """Pose every row of :data:`CRITERIA` and assemble a consistent report.
 
-    Raises :class:`InvalidChannelError` for non-CP input (the individual
-    predicates are undefined there).
+    CP is certified once, first; :class:`InvalidChannelError` is raised for
+    non-CP input, where the other rows are undefined.
     """
     cp = _require_cp(channel, tol)
-    us = unsteerable_check(channel, tol)
-    eq_sa = sa_sufficient_check(channel, tol)
-    sb = steering_breaking_check(channel, tol)
+    evidence = {
+        name: cp if name == "cp_valid" else is_psd(_posed(name, channel), tol)
+        for name in PSD_ROWS
+    }
     report = ClassificationReport(
-        cp_valid=bool(cp),
-        unsteerable=bool(us),
-        sa_sufficient=bool(eq_sa),
-        steering_breaking=bool(sb),
+        **{name: check.ok for name, check in evidence.items()},
         steering_annihilating=decide(sa_condition(channel)),
         maximal_unsteerable=decide(mus_condition(channel)),
-        evidence={
-            "cp_valid": cp,
-            "unsteerable": us,
-            "sa_sufficient": eq_sa,
-            "steering_breaking": sb,
-        },
+        evidence=evidence,
     )
     report.check_consistency()
     return report
@@ -424,7 +419,6 @@ def random_channel(partition: ModePartition, seed: int) -> GaussianChannel:
     k = rng.uniform(-1.5, 1.5, (dim, dim))
     g = rng.standard_normal((dim, dim))
     m = g @ g.T
-    om = omega(partition.modes)
-    lam = min_eigenvalue(criterion_matrix(m, om, k, om))
+    lam = min_eigenvalue(pose("cp_valid", partition, k, m))
     m = m + max(0.0, -lam + GENERATOR_MARGIN) * np.eye(dim)
     return GaussianChannel(partition, k, m)

@@ -133,7 +133,7 @@ def cmd_super(args) -> int:
     obj = _read_json(args.superchannel_file)
     sc = jsonio.superchannel_from_dict(obj)
     us_psd, residual = sch.us_check(sc, args.tol)  # raises if inadmissible
-    mus = jsonio.verdict_to_dict(sch.mus_sufficient(sc))
+    mus = jsonio.verdict_to_dict(sch.mus_sufficient(sc, args.tol))
     verdicts = {
         "valid": True,
         "us_sufficient": sch.us_sufficient(sc, args.tol),

@@ -13,7 +13,13 @@ from typing import Any, Dict
 
 import jsonschema
 
-from .channels import ClassificationReport, FalsifierResult, GaussianChannel
+from .channels import (
+    PSD_ROWS,
+    QUANTIFIED_ROWS,
+    ClassificationReport,
+    FalsifierResult,
+    GaussianChannel,
+)
 from .errors import GaussSteerError
 from .quantifier import Verdict
 from .states import GaussianState
@@ -180,17 +186,13 @@ def verdict_to_dict(verdict: Verdict) -> Dict[str, Any]:
 
 
 def report_to_dict(report: ClassificationReport) -> Dict[str, Any]:
-    return {
-        "cp_valid": report.cp_valid,
-        "unsteerable": report.unsteerable,
-        "sa_sufficient": report.sa_sufficient,
-        "steering_breaking": report.steering_breaking,
-        "steering_annihilating": verdict_to_dict(report.steering_annihilating),
-        "maximal_unsteerable": verdict_to_dict(report.maximal_unsteerable),
-        "evidence": {
-            name: psd_check_to_dict(check) for name, check in report.evidence.items()
-        },
+    out: Dict[str, Any] = {name: getattr(report, name) for name in PSD_ROWS}
+    for name in QUANTIFIED_ROWS:
+        out[name] = verdict_to_dict(getattr(report, name))
+    out["evidence"] = {
+        name: psd_check_to_dict(check) for name, check in report.evidence.items()
     }
+    return out
 
 
 def falsifier_to_dict(result: FalsifierResult) -> Dict[str, Any]:

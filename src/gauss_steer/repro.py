@@ -14,15 +14,7 @@ import numpy as np
 from . import channels as ch
 from . import superchannels as sch
 from .states import two_mode_squeezed, vacuum
-from .symplectic import (
-    TOL,
-    ModePartition,
-    criterion_matrix,
-    min_eigenvalue,
-    omega,
-    omega_hat,
-    schur_complement,
-)
+from .symplectic import TOL, ModePartition, min_eigenvalue, omega_hat, schur_complement
 
 
 def amplifying_lossy_channel() -> ch.GaussianChannel:
@@ -112,8 +104,7 @@ def run_reference_suite(tol: float = TOL, seed: int = 0) -> List[ReproRow]:
     expected_cp = np.eye(4, dtype=complex)
     expected_cp[0, 1], expected_cp[1, 0] = -0.0609j, 0.0609j
     expected_cp[2, 3], expected_cp[3, 2] = 0.99j, -0.99j
-    om = omega(2)
-    cp_matrix = criterion_matrix(amp.M, om, amp.K, om)
+    cp_matrix = ch.pose("cp_valid", amp.partition, amp.K, amp.M)
     rows.append(
         _row(
             "amplifying-lossy: CP matrix entries and positivity",
@@ -132,7 +123,7 @@ def run_reference_suite(tol: float = TOL, seed: int = 0) -> List[ReproRow]:
             min_eigenvalue=sa_psd.min_eigenvalue,
         )
     )
-    sa = ch.is_steering_annihilating(amp)
+    sa = ch.is_steering_annihilating(amp, tol)
     rows.append(
         _row(
             "amplifying-lossy: steering-annihilating verdict HOLDS",
@@ -167,8 +158,7 @@ def run_reference_suite(tol: float = TOL, seed: int = 0) -> List[ReproRow]:
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = expected[1, 1] = 0.75
     expected[0, 1], expected[1, 0] = -0.25j, 0.25j
-    oh = omega_hat(att.partition)
-    sa_matrix = criterion_matrix(att.M, oh, att.K, omega(2))
+    sa_matrix = ch.pose("sa_sufficient", att.partition, att.K, att.M)
     rows.append(
         _row(
             "attenuator-on-A: PSD sufficient condition holds with displayed blocks",
@@ -191,8 +181,8 @@ def run_reference_suite(tol: float = TOL, seed: int = 0) -> List[ReproRow]:
     # --- constant channels ---
     const = steerable_constant_channel()
     sb = ch.steering_breaking_check(const, tol)
-    sa = ch.is_steering_annihilating(const)
-    mus = ch.is_maximal_unsteerable(const)
+    sa = ch.is_steering_annihilating(const, tol)
+    mus = ch.is_maximal_unsteerable(const, tol)
     rows.append(
         _row(
             "constant(steerable): steering-breaking but SA and MUS violated",
@@ -206,8 +196,8 @@ def run_reference_suite(tol: float = TOL, seed: int = 0) -> List[ReproRow]:
     )
     const_free = unsteerable_constant_channel()
     sb2 = ch.steering_breaking_check(const_free, tol)
-    sa2 = ch.is_steering_annihilating(const_free)
-    mus2 = ch.is_maximal_unsteerable(const_free)
+    sa2 = ch.is_steering_annihilating(const_free, tol)
+    mus2 = ch.is_maximal_unsteerable(const_free, tol)
     rows.append(
         _row(
             "constant(unsteerable): all three verdicts non-negative",
@@ -218,7 +208,7 @@ def run_reference_suite(tol: float = TOL, seed: int = 0) -> List[ReproRow]:
 
     # --- reference superchannel ---
     sc = mixing_superchannel()
-    mus_v = sch.mus_sufficient(sc)
+    mus_v = sch.mus_sufficient(sc, tol)
     us_psd, residual = sch.us_check(sc, tol)
     rows.append(
         _row(
@@ -244,12 +234,12 @@ def run_reference_suite(tol: float = TOL, seed: int = 0) -> List[ReproRow]:
     oh1 = omega_hat(probe.partition)
     w = probe.cm.astype(complex) + 1j * oh1
     sc_block = schur_complement(w, 2 * lossy.partition.modes)
-    direct = criterion_matrix(lossy.M, 0.0, lossy.K, omega(1))
+    direct = ch.pose("steering_breaking", lossy.partition, lossy.K, lossy.M)
     diff = abs(min_eigenvalue(sc_block) - min_eigenvalue(direct))
     rows.append(
         _row(
             "pure lossy: squeezed-probe Schur limit matches direct criterion",
-            ch.is_steering_breaking(lossy, tol) and diff < 1e-3,
+            ch.steering_breaking_check(lossy, tol).ok and diff < 1e-3,
             f"min-eigenvalue difference {diff:.2e}",
             difference=diff,
         )

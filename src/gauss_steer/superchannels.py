@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .channels import GaussianChannel
+from .channels import GaussianChannel, pose
 from .errors import DimensionError, InvalidSuperchannelError
 from .quantifier import QuantifiedCondition, Verdict, VerdictState, decide
 from .states import GENERATOR_MARGIN
@@ -27,12 +27,10 @@ from .symplectic import (
     TOL,
     ModePartition,
     _opnorm,
-    criterion_matrix,
+    forms,
     hermitian_part,
     is_psd,
     min_eigenvalue,
-    omega,
-    omega_hat,
     random_orthosymplectic,
     sigma,
 )
@@ -81,14 +79,13 @@ def identity_superchannel(partition: ModePartition) -> GaussianSuperchannel:
 
 
 def is_valid_superchannel(sc: GaussianSuperchannel, tol: float = TOL) -> bool:
-    """Admissibility: E orthogonal plus the two PSD conditions on (A, Y) and E."""
-    dim = sc.partition.dim
-    if _opnorm(sc.E @ sc.E.T - np.eye(dim)) > tol * (1.0 + _opnorm(sc.E)):
+    """Admissibility: E orthogonal plus the CP row on (A, Y) and on (E, 0)."""
+    part = sc.partition
+    if _opnorm(sc.E @ sc.E.T - np.eye(part.dim)) > tol * (1.0 + _opnorm(sc.E)):
         return False
-    om = omega(sc.partition.modes)
-    if not is_psd(criterion_matrix(sc.Y, om, sc.A, om), tol):
+    if not is_psd(pose("cp_valid", part, sc.A, sc.Y), tol):
         return False
-    return bool(is_psd(criterion_matrix(0.0, om, sc.E, om), tol))
+    return bool(is_psd(pose("cp_valid", part, sc.E, 0.0), tol))
 
 
 def _require_valid(sc: GaussianSuperchannel, tol: float = TOL) -> None:
@@ -134,16 +131,16 @@ def decompose(
 def us_check(sc: GaussianSuperchannel, tol: float = TOL):
     """Evidence pair for the unsteerable-superchannel certificate.
 
-    Returns (PsdCheck for Y + i omega_hat - A (i omega_hat) A^T, residual
-    norm of omega_hat - E omega_hat E^T).  The second condition is an
-    equality: the PSD form of the E condition involves a traceless Hermitian
-    matrix, which is positive semidefinite only when it vanishes.  The two
-    legs are the unsteerable-channel conditions of the post and pre channels
-    of :func:`decompose`.
+    Returns (PsdCheck of the unsteerable row on (A, Y), residual norm of
+    omega_hat - E omega_hat E^T).  The second condition is an equality: the
+    PSD form of the E condition involves a traceless Hermitian matrix, which
+    is positive semidefinite only when it vanishes.  The two legs are the
+    unsteerable-channel conditions of the post and pre channels of
+    :func:`decompose`.
     """
     _require_valid(sc, tol)
-    oh = omega_hat(sc.partition)
-    psd = is_psd(criterion_matrix(sc.Y, oh, sc.A, oh), tol)
+    psd = is_psd(pose("unsteerable", sc.partition, sc.A, sc.Y), tol)
+    oh = forms(sc.partition)["omega_hat"]
     residual = float(np.abs(oh - sc.E @ oh @ sc.E.T).max())
     return psd, residual
 
@@ -162,24 +159,24 @@ def mus_conditions(
 ) -> Tuple[QuantifiedCondition, QuantifiedCondition]:
     """The two quantified conditions certifying a maximal unsteerable superchannel.
 
-    They are the maximal-unsteerable conditions of the post and pre channels
-    of :func:`decompose`, in that order.
+    They are the maximal-unsteerable rows on the post and pre channels of
+    :func:`decompose`, (A, Y) and (Sigma E^T Sigma, 0), in that order.
     """
-    oh = omega_hat(sc.partition)
-    sig = sigma(sc.partition.modes)
-    f = sig @ sc.E.T @ sig
-    cond_post = QuantifiedCondition(sc.Y, [sc.A @ oh @ sc.A.T], oh)
-    cond_pre = QuantifiedCondition(np.zeros_like(oh), [f @ oh @ f.T], oh)
-    return cond_post, cond_pre
+    part = sc.partition
+    sig = sigma(part.modes)
+    return (
+        pose("maximal_unsteerable", part, sc.A, sc.Y),
+        pose("maximal_unsteerable", part, sig @ sc.E.T @ sig, np.zeros_like(sc.Y)),
+    )
 
 
-def mus_sufficient(sc: GaussianSuperchannel) -> Verdict:
+def mus_sufficient(sc: GaussianSuperchannel, tol: float = TOL) -> Verdict:
     """Sufficient certificate for a maximal unsteerable superchannel.
 
     HOLDS only when both quantified conditions hold; otherwise the first
     violated one (post, then pre) is reported with its witness.
     """
-    _require_valid(sc)
+    _require_valid(sc, tol)
     verdicts = [decide(cond) for cond in mus_conditions(sc)]
     for v in verdicts:
         if v.violated:
@@ -201,8 +198,7 @@ def random_superchannel(partition: ModePartition, seed: int) -> GaussianSupercha
     e = random_orthosymplectic(partition.modes, rng)
     g = rng.standard_normal((dim, dim))
     y = g @ g.T
-    om = omega(partition.modes)
-    lam = min_eigenvalue(criterion_matrix(y, om, a, om))
+    lam = min_eigenvalue(pose("cp_valid", partition, a, y))
     y = y + max(0.0, -lam + GENERATOR_MARGIN) * np.eye(dim)
     nu = rng.standard_normal(dim)
     return GaussianSuperchannel(partition, a, e, y, nu)

@@ -13,6 +13,7 @@ import pytest
 from families import symplectic_channel, with_noise
 from gauss_steer import channels as ch
 from gauss_steer import superchannels as sch
+from gauss_steer.errors import GaussSteerError
 from gauss_steer.quantifier import DECISION_MARGIN, decide, evaluate, falsify_grid
 from gauss_steer.repro import (
     amplifying_lossy_channel,
@@ -73,7 +74,7 @@ def test_criterion_1_amplifying_lossy_reproduction():
     if mc.violation_found:
         failures.append(f"Monte-Carlo oracle found a violation at {mc.trial_index}")
 
-    if ch.is_steering_breaking(c, TOL):
+    if ch.steering_breaking_check(c, TOL):
         failures.append("channel unexpectedly steering-breaking")
 
     report(
@@ -125,7 +126,7 @@ def test_criterion_2_attenuator_tensor_identity():
 def test_criterion_3_constant_channel_region():
     failures = []
     steer = steerable_constant_channel()
-    if not ch.is_steering_breaking(steer, TOL):
+    if not ch.steering_breaking_check(steer, TOL):
         failures.append("steerable-target constant channel not steering-breaking")
     sa = ch.is_steering_annihilating(steer)
     mus = ch.is_maximal_unsteerable(steer)
@@ -137,7 +138,7 @@ def test_criterion_3_constant_channel_region():
     free = unsteerable_constant_channel()
     sa2 = ch.is_steering_annihilating(free)
     mus2 = ch.is_maximal_unsteerable(free)
-    if not ch.is_steering_breaking(free, TOL):
+    if not ch.steering_breaking_check(free, TOL):
         failures.append("unsteerable-target constant channel not steering-breaking")
     if sa2.violated or mus2.violated:
         failures.append("unsteerable-target constant channel wrongly violated")
@@ -196,7 +197,7 @@ def test_criterion_5_breaking_equivalence_at_desk_scale():
         if abs(lam_direct) < 1e-5:
             continue  # boundary case, excluded
         kept += 1
-        sb = ch.is_steering_breaking(c, TOL)
+        sb = ch.steering_breaking_check(c, TOL).ok
 
         probe_ok, comp = _choi_unsteerable_via_schur(c, 8.0, TOL)
         lam_comp = min_eigenvalue(comp)
@@ -274,9 +275,9 @@ def test_criterion_7_implication_suite():
     for c in pool:
         flags.append(
             (
-                ch.sa_sufficient(c, TOL),
-                ch.is_unsteerable_channel(c, TOL),
-                ch.is_steering_breaking(c, TOL),
+                ch.sa_sufficient_check(c, TOL).ok,
+                ch.unsteerable_check(c, TOL).ok,
+                ch.steering_breaking_check(c, TOL).ok,
             )
         )
 
@@ -306,9 +307,9 @@ def test_criterion_7_implication_suite():
     partners = [ch.random_channel(P11, 5000 + k) for k in range(2)]
     for c in sb_channels:
         for psi in partners:
-            if not ch.is_steering_breaking(ch.compose(c, psi), TOL):
+            if not ch.steering_breaking_check(ch.compose(c, psi), TOL):
                 failures.append("breaking property lost under post-composition")
-            if not ch.is_steering_breaking(ch.compose(psi, c), TOL):
+            if not ch.steering_breaking_check(ch.compose(psi, c), TOL):
                 failures.append("breaking property lost under pre-composition")
 
     for c in sa_holds_channels[:10]:
@@ -372,7 +373,7 @@ def test_criterion_9_superchannel_algebra():
             or np.abs(chained.d - direct.d).max() > 1e-10
         ):
             failures.append(f"seed {seed}: decomposition route deviates")
-        if not ch.is_valid_channel(direct, TOL):
+        if not ch.cp_check(direct, TOL):
             failures.append(f"seed {seed}: output channel lost CP validity")
 
     report(
@@ -453,3 +454,19 @@ def test_sa_implies_mus_on_planted_sa_channels():
                 failures.append(f"{modes} seed {seed}: MUS VIOLATED at {v.value:.3g}")
     assert checked >= 30, f"only {checked} planted channels"
     assert not failures, f"{len(failures)} of {checked}: " + "; ".join(failures)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=GaussSteerError,
+    reason="relative PSD tolerance and absolute decision margin disagree near 0",
+)
+@pytest.mark.parametrize("big, lam", [(20.0, 1.5e-7), (100.0, 5e-7)])
+def test_tolerance_policies_agree_at_default_flags(big, lam):
+    # CP, unsteerable and SA-sufficient pass the relative rule
+    # lambda >= -1e-8 * (1 + ||X||), but SA and MUS fall below the absolute
+    # DECISION_MARGIN, so the report contradicts SA-sufficient => SA.
+    c = ch.GaussianChannel(P11, np.eye(4), np.diag([big, big, big, -lam]))
+    assert ch.cp_check(c, TOL) and ch.sa_sufficient_check(c, TOL)
+    assert lam > DECISION_MARGIN
+    ch.classify(c, TOL)

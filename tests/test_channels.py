@@ -28,18 +28,23 @@ from gauss_steer.states import (
     vacuum,
 )
 from gauss_steer.quantifier import decide
-from gauss_steer.symplectic import ModePartition, direct_sum, random_orthosymplectic
+from gauss_steer.symplectic import (
+    ModePartition,
+    direct_sum,
+    min_eigenvalue,
+    random_orthosymplectic,
+)
 
 P11 = ModePartition(1, 1)
 
 
 class TestValidity:
     def test_identity_channel_valid(self):
-        assert ch.is_valid_channel(ch.identity_channel(P11))
+        assert ch.cp_check(ch.identity_channel(P11))
 
     def test_amplifying_lossy_cp_matrix(self):
         c = amplifying_lossy_channel()
-        assert ch.is_valid_channel(c)
+        assert ch.cp_check(c)
         check = ch.cp_check(c)
         assert check.min_eigenvalue == pytest.approx(0.01, abs=1e-12)
 
@@ -163,7 +168,7 @@ class TestConstructors:
         for seed in range(100):
             c = ch.random_channel(ModePartition(0, 1), seed)
             for side in ("A", "B"):
-                assert ch.is_valid_channel(ch.tensor_with_identity(c, 1, side))
+                assert ch.cp_check(ch.tensor_with_identity(c, 1, side))
 
     def test_swap_subsystems_roundtrip(self):
         c = ch.random_channel(P11, 8)
@@ -174,10 +179,10 @@ class TestConstructors:
 
 class TestPsdPredicates:
     def test_identity_is_unsteerable_channel(self):
-        assert ch.is_unsteerable_channel(ch.identity_channel(P11))
+        assert ch.unsteerable_check(ch.identity_channel(P11))
 
     def test_attenuator_on_a_unsteerable(self):
-        assert ch.is_unsteerable_channel(attenuator_on_a())
+        assert ch.unsteerable_check(attenuator_on_a())
 
     def test_amplifying_lossy_sa_sufficient_fails(self):
         check = ch.sa_sufficient_check(amplifying_lossy_channel())
@@ -185,13 +190,13 @@ class TestPsdPredicates:
         assert check.min_eigenvalue == pytest.approx(-0.0609, abs=1e-12)
 
     def test_attenuator_on_a_sa_sufficient(self):
-        assert ch.sa_sufficient(attenuator_on_a())
+        assert ch.sa_sufficient_check(attenuator_on_a())
 
     def test_constant_with_unsteerable_target_sa_sufficient(self):
-        assert ch.sa_sufficient(unsteerable_constant_channel())
+        assert ch.sa_sufficient_check(unsteerable_constant_channel())
 
     def test_steering_breaking_examples(self):
-        assert ch.is_steering_breaking(steerable_constant_channel())
+        assert ch.steering_breaking_check(steerable_constant_channel())
         att = attenuator_on_a()
         check = ch.steering_breaking_check(att)
         assert not check.ok
@@ -199,14 +204,14 @@ class TestPsdPredicates:
         # witness lives on the untouched B side, whose -i*omega block fails
         assert np.linalg.norm(check.witness[:2]) < 1e-8
         assert np.linalg.norm(check.witness[2:]) == pytest.approx(1.0)
-        assert not ch.is_steering_breaking(amplifying_lossy_channel())
+        assert not ch.steering_breaking_check(amplifying_lossy_channel())
 
     def test_predicates_require_cp(self):
         bad = ch.GaussianChannel(P11, 2.0 * np.eye(4), np.zeros((4, 4)))
         for fn in (
-            ch.is_unsteerable_channel,
-            ch.sa_sufficient,
-            ch.is_steering_breaking,
+            ch.unsteerable_check,
+            ch.sa_sufficient_check,
+            ch.steering_breaking_check,
         ):
             with pytest.raises(InvalidChannelError):
                 fn(bad)
@@ -235,6 +240,20 @@ class TestQuantifiedPredicates:
         assert ch.is_maximal_unsteerable(const).violated
 
 
+class TestTolReachesValidation:
+    def test_cp_gate_follows_tol(self):
+        # CP only up to 1e-6, so valid at tol 1e-3 and not at the default
+        c = ch.GaussianChannel(P11, np.eye(4), np.diag([0.0, 0.0, 0.0, -1e-6]))
+        calls = (
+            lambda tol: ch.is_steering_annihilating(c, tol),
+            lambda tol: ch.is_maximal_unsteerable(c, tol),
+        )
+        for call in calls:
+            with pytest.raises(InvalidChannelError):
+                call(ch.TOL)
+            call(1e-3)
+
+
 class TestChoiState:
     def test_identity_probe_is_two_mode_squeezed(self):
         probe = ch.choi_state(ch.identity_channel(ModePartition(0, 1)), 1.3)
@@ -254,7 +273,7 @@ class TestChoiState:
     def test_pure_lossy_probe_agrees_with_direct_criterion(self):
         c = ch.attenuator(np.pi / 4.0, 1.0)
         probe = ch.choi_state(c, 2.0)
-        assert is_unsteerable(probe) == ch.is_steering_breaking(c)
+        assert is_unsteerable(probe) == ch.steering_breaking_check(c).ok
 
 
 class TestClassify:
@@ -295,6 +314,21 @@ class TestClassify:
         )
         assert r1.steering_annihilating.state == r2.steering_annihilating.state
         assert r1.maximal_unsteerable.state == r2.maximal_unsteerable.state
+
+    def test_one_cp_certificate_per_classify(self, monkeypatch):
+        calls = {"is_psd": 0, "cp_check": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(ch, "is_psd", counted("is_psd", ch.is_psd))
+        monkeypatch.setattr(ch, "cp_check", counted("cp_check", ch.cp_check))
+        ch.classify(amplifying_lossy_channel())
+        assert calls == {"is_psd": 4, "cp_check": 1}
 
     def test_report_consistency_guard(self):
         from gauss_steer.quantifier import Verdict, VerdictState
@@ -342,7 +376,7 @@ class TestRandomChannel:
         np.testing.assert_array_equal(c1.K, c2.K)
         np.testing.assert_array_equal(c1.M, c2.M)
         assert all(
-            ch.is_valid_channel(ch.random_channel(P11, seed)) for seed in range(200)
+            ch.cp_check(ch.random_channel(P11, seed)) for seed in range(200)
         )
 
     def test_sa_sufficient_channels_never_falsified(self):
@@ -350,7 +384,7 @@ class TestRandomChannel:
         hits = 0
         for seed in range(200):
             c = ch.random_channel(P11, seed)
-            if ch.sa_sufficient(c):
+            if ch.sa_sufficient_check(c):
                 hits += 1
                 res = ch.monte_carlo_sa_oracle(c, 100, seed=seed)
                 assert not res.violation_found, seed
@@ -362,12 +396,48 @@ class TestEq7ImpliesMus:
         checked = 0
         for seed in range(60):
             c = ch.random_channel(P11, seed)
-            if ch.is_unsteerable_channel(c):
+            if ch.unsteerable_check(c):
                 checked += 1
                 assert not ch.is_maximal_unsteerable(c).violated
             if checked >= 20:
                 break
         assert checked > 0
+
+
+class TestInclusionsAtValueLevel:
+    """A quantified row's value is at least lambda_min of the PSD row with its forms.
+
+    With s = w^dag outer w and t = w^dag K inner K^T w (both imaginary), the
+    PSD row at w and at conj(w) gives w^dag M w >= lambda + |t - s| for unit
+    w, and |s| <= |t - s| + |t|, so the gap w^dag M w + |t| - |s| is at
+    least lambda.  This is the value form of SA-sufficient => SA and
+    unsteerable => MUS.
+    """
+
+    @pytest.mark.parametrize("modes", [(1, 1), (1, 2), (2, 2), (0, 2), (2, 1)])
+    def test_quantified_value_bounds_psd_row(self, modes):
+        pairs = [
+            (q, p)
+            for q in ch.QUANTIFIED_ROWS
+            for p in ch.PSD_ROWS
+            if ch.CRITERIA[q][1:] == ch.CRITERIA[p][1:]
+        ]
+        assert sorted(pairs) == [
+            ("maximal_unsteerable", "unsteerable"),
+            ("steering_annihilating", "sa_sufficient"),
+        ]
+        part = ModePartition(*modes)
+        pool = [ch.random_channel(part, seed) for seed in range(9)]
+        pool += [
+            with_noise(symplectic_channel(part, seed), nu)
+            for seed in range(12)
+            for nu in (0.0, 0.05, 0.3)
+        ]
+        for c in pool:
+            for q, p in pairs:
+                lam = min_eigenvalue(ch.pose(p, part, c.K, c.M))
+                value = decide(ch.pose(q, part, c.K, c.M)).value
+                assert value >= lam - 1e-12, (q, p, value, lam)
 
 
 PSD_PREDICATES = (

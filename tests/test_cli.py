@@ -156,6 +156,19 @@ class TestSuper:
         code, _, err = run_cli(capsys, "super", str(path))
         assert code == 2
 
+    def test_tol_reaches_admissibility(self, capsys, tmp_path):
+        # identity superchannel with E orthogonal only up to 1e-6
+        eye = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
+        e = [row[:] for row in eye]
+        e[0][0] = 1.0 + 1e-6
+        obj = {"m": 1, "n": 1, "A": eye, "E": e, "Y": [[0.0] * 4] * 4, "nu": [0.0] * 4}
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(obj))
+        assert run_cli(capsys, "super", str(path))[0] == 2
+        code, out, _ = run_cli(capsys, "super", str(path), "--tol", "1e-3")
+        assert code == 0
+        assert json.loads(out)["verdicts"]["mus_sufficient"]["state"] == "HOLDS"
+
 
 class TestRepro:
     def test_all_rows_pass(self, capsys):

@@ -84,6 +84,14 @@ class TestValidity:
             for seed in range(100)
         )
 
+    def test_mus_sufficient_validates_at_caller_tol(self):
+        e = np.eye(4)
+        e[0, 0] = 1.0 + 1e-6  # admissible at tol 1e-3, not at the default
+        s = sch.GaussianSuperchannel(P11, np.eye(4), e, np.zeros((4, 4)))
+        with pytest.raises(InvalidSuperchannelError):
+            sch.mus_sufficient(s, sch.TOL)
+        sch.mus_sufficient(s, 1e-3)
+
 
 class TestApplyToChannel:
     def test_identity_superchannel_neutral(self):
@@ -106,7 +114,7 @@ class TestApplyToChannel:
         for seed in range(200):
             s = sch.random_superchannel(P11, seed)
             c = ch.random_channel(P11, 10000 + seed)
-            assert ch.is_valid_channel(sch.apply_to_channel(s, c))
+            assert ch.cp_check(sch.apply_to_channel(s, c))
 
     def test_rejects_invalid_superchannel(self):
         bad = sch.GaussianSuperchannel(
@@ -185,8 +193,8 @@ class TestUsSufficient:
         s = unsteerable_superchannel(1)
         for seed in range(100):
             c = unsteerable_channel(seed)
-            assert ch.is_unsteerable_channel(c)
-            assert ch.is_unsteerable_channel(sch.apply_to_channel(s, c))
+            assert ch.unsteerable_check(c)
+            assert ch.unsteerable_check(sch.apply_to_channel(s, c))
 
 
 class TestMusSufficient:
@@ -236,7 +244,7 @@ def chain_verdicts(s: sch.GaussianSuperchannel):
     verdicts), the route the direct certificates must agree with.
     """
     pre, post = sch.decompose(s)
-    us = ch.is_unsteerable_channel(pre) and ch.is_unsteerable_channel(post)
+    us = ch.unsteerable_check(pre).ok and ch.unsteerable_check(post).ok
     return us, [ch.is_maximal_unsteerable(c) for c in (post, pre)]
 
 
