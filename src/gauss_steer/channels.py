@@ -275,12 +275,12 @@ def mus_condition(channel: GaussianChannel) -> QuantifiedCondition:
 
 def is_steering_annihilating(channel: GaussianChannel, tol: float = TOL) -> Verdict:
     _require_cp(channel, tol)
-    return decide(sa_condition(channel))
+    return decide(sa_condition(channel), tol)
 
 
 def is_maximal_unsteerable(channel: GaussianChannel, tol: float = TOL) -> Verdict:
     _require_cp(channel, tol)
-    return decide(mus_condition(channel))
+    return decide(mus_condition(channel), tol)
 
 
 def choi_state(channel: GaussianChannel, r: float) -> GaussianState:
@@ -346,8 +346,8 @@ def classify(channel: GaussianChannel, tol: float = TOL) -> ClassificationReport
     }
     report = ClassificationReport(
         **{name: check.ok for name, check in evidence.items()},
-        steering_annihilating=decide(sa_condition(channel)),
-        maximal_unsteerable=decide(mus_condition(channel)),
+        steering_annihilating=decide(sa_condition(channel), tol),
+        maximal_unsteerable=decide(mus_condition(channel), tol),
         evidence=evidence,
     )
     report.check_consistency()

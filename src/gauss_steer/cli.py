@@ -28,7 +28,6 @@ from .errors import (
     InvalidChannelError,
     InvalidSuperchannelError,
 )
-from .quantifier import DECISION_MARGIN
 from .repro import run_reference_suite
 from .symplectic import TOL, ModePartition
 
@@ -107,7 +106,6 @@ def _envelope(command: str, tol: float, **body):
         "version": __version__,
         "command": command,
         "tol": tol,
-        "solver": {"decision_margin": DECISION_MARGIN},
     }
     out.update(body)
     return out
@@ -132,11 +130,12 @@ def cmd_classify(args) -> int:
 def cmd_super(args) -> int:
     obj = _read_json(args.superchannel_file)
     sc = jsonio.superchannel_from_dict(obj)
-    us_psd, residual = sch.us_check(sc, args.tol)  # raises if inadmissible
+    # certifies admissibility, or raises; the US legs then presume it
     mus = jsonio.verdict_to_dict(sch.mus_sufficient(sc, args.tol))
+    us_psd, residual, us_ok = sch._us_evidence(sc, args.tol)
     verdicts = {
         "valid": True,
-        "us_sufficient": sch.us_sufficient(sc, args.tol),
+        "us_sufficient": us_ok,
         "us_evidence": {
             "psd": jsonio.psd_check_to_dict(us_psd),
             "orthogonality_residual": residual,

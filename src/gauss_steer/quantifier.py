@@ -30,11 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError, InvalidParameterError
-from .symplectic import check_symmetry, hermitian_part
-
-# A condition HOLDS when its exact minimum over the unit sphere is at least
-# -DECISION_MARGIN; below that it is VIOLATED with a witness.
-DECISION_MARGIN = 1e-7
+from .symplectic import TOL, check_symmetry, hermitian_part, threshold
 
 _GRID_MAX_DIM = 4  # complex dimension cap for the brute-force sphere sweep
 _BLOCK_ROWS = 4096  # rows per block in evaluate_many
@@ -177,37 +173,44 @@ def _max_lambda_min(base: np.ndarray, slope: np.ndarray):
 def _witness(cond: QuantifiedCondition, pencil, slope, t: float):
     """Unit vector scoring the minimum, from the lambda_min eigenspace at t.
 
-    A simple eigenvalue at an interior maximum has a vanishing S-form, so its
-    eigenvector scores lambda_min.  At a kink (degenerate lambda_min) the
-    eigenspace is mixed so that the S-form vanishes: with u1, u2 the
-    eigenvectors of the compression of -iS, eigenvalues mu1 <= 0 <= mu2,
-    w = sqrt(mu2 / (mu2 - mu1)) u1 + sqrt(-mu1 / (mu2 - mu1)) u2.
+    A vector u of that eigenspace scores at most lambda_min + |mu| - t mu,
+    with mu = u^dag (-iS) u, so it reaches lambda_min when t mu = |mu|.  A
+    simple eigenvalue at an interior maximum has mu = 0, and at t = +-1 the
+    maximizer's supergradient t mu is non-negative.  When lambda_min is
+    degenerate, let u1, u2 be the eigenvectors of the compression of -iS
+    with the smallest and largest eigenvalues mu1 <= mu2.  At t = +1 (-1)
+    u2 (u1) is the candidate; at an interior kink with mu1 <= 0 <= mu2 it is
+    the mix w = sqrt(mu2 / (mu2 - mu1)) u1 + sqrt(-mu1 / (mu2 - mu1)) u2,
+    whose mu vanishes.
     """
     lam, vecs = np.linalg.eigh(pencil)
     candidates = [vecs[:, 0]]
-    if abs(t) < 1.0:
-        near = lam - lam[0] <= 1e-9 * (1.0 + np.abs(lam).max())
-        if near.sum() > 1:
-            u = vecs[:, near]
-            mu, y = np.linalg.eigh(u.conj().T @ slope @ u)
-            lo, hi = mu[0], mu[-1]
-            if lo <= 0.0 <= hi and hi > lo:
-                w = np.sqrt(hi / (hi - lo)) * (u @ y[:, 0])
-                w = w + np.sqrt(-lo / (hi - lo)) * (u @ y[:, -1])
-                candidates.append(w / np.linalg.norm(w))
+    near = lam - lam[0] <= 1e-9 * (1.0 + np.abs(lam).max())
+    if near.sum() > 1:
+        u = vecs[:, near]
+        mu, y = np.linalg.eigh(u.conj().T @ slope @ u)
+        lo, hi = mu[0], mu[-1]
+        if abs(t) >= 1.0:
+            candidates.append(u @ y[:, -1 if t > 0.0 else 0])
+        elif lo <= 0.0 <= hi and hi > lo:
+            w = np.sqrt(hi / (hi - lo)) * (u @ y[:, 0])
+            w = w + np.sqrt(-lo / (hi - lo)) * (u @ y[:, -1])
+            candidates.append(w / np.linalg.norm(w))
     scores = [evaluate(cond, w) for w in candidates]
     i = int(np.argmin(scores))
     return scores[i], candidates[i]
 
 
-def decide(cond: QuantifiedCondition) -> Verdict:
+def decide(cond: QuantifiedCondition, tol: float = TOL) -> Verdict:
     """Decide a quantified condition exactly: HOLDS or VIOLATED(witness).
 
     The value is min over sigma = +-1 of max over t in [-1, 1] of
     lambda_min(H + i sigma T - i t S), the exact minimum of the gap on the
-    unit sphere.  HOLDS iff it is at least -DECISION_MARGIN; otherwise the
-    verdict carries a lambda_min eigenvector at the minimizing (sigma, t*)
-    and reports that vector's own gap as its value.
+    unit sphere.  HOLDS iff it is at least minus the largest
+    :func:`~gauss_steer.symplectic.threshold` of the pencil's corners
+    H + i(T -+ S), the PSD rows a quantified row is paired with; otherwise
+    the verdict carries a lambda_min eigenvector at the minimizing
+    (sigma, t*) and reports that vector's own gap as its value.
     """
     base = np.stack(
         [cond.h + 1j * cond.minus_term, cond.h - 1j * cond.minus_term]
@@ -217,7 +220,10 @@ def decide(cond: QuantifiedCondition) -> Verdict:
     ts, values = _max_lambda_min(base, slope)
     k = int(np.argmin(values))
     value = float(values[k]) + 0.0  # so an exact zero never prints as -0.0
-    if value >= -DECISION_MARGIN:
+    # is_psd's threshold of each corner H + i(T -+ S), on its Hermitian part
+    corners = base[0] + np.stack([slope, -slope])
+    bound = max(threshold(0.5 * (c + c.conj().T), tol) for c in corners)
+    if value >= -bound:
         return Verdict(VerdictState.HOLDS, value)
     t = float(ts[k])
     score, w = _witness(cond, base[k] + t * slope, slope, t)

@@ -208,12 +208,12 @@ def run_reference_suite(tol: float = TOL, seed: int = 0) -> List[ReproRow]:
 
     # --- reference superchannel ---
     sc = mixing_superchannel()
-    mus_v = sch.mus_sufficient(sc, tol)
-    us_psd, residual = sch.us_check(sc, tol)
+    mus_v = sch.mus_sufficient(sc, tol)  # certifies admissibility, or raises
+    us_psd, residual, us_ok = sch._us_evidence(sc, tol)
     rows.append(
         _row(
             "mixing superchannel: maximal-unsteerable certificate HOLDS",
-            sch.is_valid_superchannel(sc, tol) and mus_v.holds,
+            mus_v.holds,
             f"verdict {mus_v.state.value}, margin {mus_v.value:.6f}",
             value=mus_v.value,
         )
@@ -221,7 +221,7 @@ def run_reference_suite(tol: float = TOL, seed: int = 0) -> List[ReproRow]:
     rows.append(
         _row(
             "mixing superchannel: unsteerable certificate fails",
-            (not sch.us_sufficient(sc, tol)) and us_psd.min_eigenvalue < 0.0,
+            (not us_ok) and us_psd.min_eigenvalue < 0.0,
             f"PSD min eigenvalue {us_psd.min_eigenvalue:.3e}, "
             f"E residual {residual:.3e}",
             min_eigenvalue=us_psd.min_eigenvalue,

@@ -33,6 +33,7 @@ from .symplectic import (
     min_eigenvalue,
     random_orthosymplectic,
     sigma,
+    threshold,
 )
 
 
@@ -81,7 +82,7 @@ def identity_superchannel(partition: ModePartition) -> GaussianSuperchannel:
 def is_valid_superchannel(sc: GaussianSuperchannel, tol: float = TOL) -> bool:
     """Admissibility: E orthogonal plus the CP row on (A, Y) and on (E, 0)."""
     part = sc.partition
-    if _opnorm(sc.E @ sc.E.T - np.eye(part.dim)) > tol * (1.0 + _opnorm(sc.E)):
+    if _opnorm(sc.E @ sc.E.T - np.eye(part.dim)) > threshold(sc.E, tol):
         return False
     if not is_psd(pose("cp_valid", part, sc.A, sc.Y), tol):
         return False
@@ -128,10 +129,21 @@ def decompose(
     return pre, post
 
 
+def _us_evidence(sc: GaussianSuperchannel, tol: float):
+    """(PsdCheck, residual, verdict) of the US certificate, admissibility presumed.
+
+    For callers that have already certified admissibility once.
+    """
+    psd = is_psd(pose("unsteerable", sc.partition, sc.A, sc.Y), tol)
+    oh = forms(sc.partition)["omega_hat"]
+    residual = float(np.abs(oh - sc.E @ oh @ sc.E.T).max())
+    return psd, residual, bool(psd) and residual <= threshold(sc.E, tol)
+
+
 def us_check(sc: GaussianSuperchannel, tol: float = TOL):
     """Evidence pair for the unsteerable-superchannel certificate.
 
-    Returns (PsdCheck of the unsteerable row on (A, Y), residual norm of
+    Returns (PsdCheck of the unsteerable row on (A, Y), max-abs residual of
     omega_hat - E omega_hat E^T).  The second condition is an equality: the
     PSD form of the E condition involves a traceless Hermitian matrix, which
     is positive semidefinite only when it vanishes.  The two legs are the
@@ -139,19 +151,17 @@ def us_check(sc: GaussianSuperchannel, tol: float = TOL):
     :func:`decompose`.
     """
     _require_valid(sc, tol)
-    psd = is_psd(pose("unsteerable", sc.partition, sc.A, sc.Y), tol)
-    oh = forms(sc.partition)["omega_hat"]
-    residual = float(np.abs(oh - sc.E @ oh @ sc.E.T).max())
-    return psd, residual
+    return _us_evidence(sc, tol)[:2]
 
 
 def us_sufficient(sc: GaussianSuperchannel, tol: float = TOL) -> bool:
     """Sufficient certificate for an unsteerable superchannel.
 
-    The equality leg passes when residual <= tol * (1 + ||E||).
+    Both legs of :func:`us_check` pass: the PSD check, and the residual is at
+    most threshold(E, tol).
     """
-    psd, residual = us_check(sc, tol)
-    return bool(psd) and residual <= tol * (1.0 + _opnorm(sc.E))
+    _require_valid(sc, tol)
+    return _us_evidence(sc, tol)[2]
 
 
 def mus_conditions(
@@ -177,7 +187,7 @@ def mus_sufficient(sc: GaussianSuperchannel, tol: float = TOL) -> Verdict:
     violated one (post, then pre) is reported with its witness.
     """
     _require_valid(sc, tol)
-    verdicts = [decide(cond) for cond in mus_conditions(sc)]
+    verdicts = [decide(cond, tol) for cond in mus_conditions(sc)]
     for v in verdicts:
         if v.violated:
             return v

@@ -14,10 +14,8 @@ import numpy as np
 
 from .errors import DimensionError, NotHermitianError, SingularBlockError
 
-# The one relative tolerance: a PSD certificate passes when its smallest
-# eigenvalue is at least -TOL * (1 + ||X||), and an input claimed symmetric
-# (or antisymmetric) is rejected when it misses by more than TOL * (1 + ||X||).
-# The classification criteria are exact inequalities; inputs are floating point.
+# The one relative tolerance, applied through :func:`threshold`.  The
+# classification criteria are exact inequalities; inputs are floating point.
 TOL = 1e-8
 
 _SINGLE_MODE_FORM = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -129,16 +127,28 @@ def _opnorm(h: np.ndarray) -> float:
     return float(np.abs(h).sum(axis=1).max())
 
 
-def check_symmetry(h: np.ndarray, name: str, anti: bool = False) -> None:
-    """Reject ``h`` unless H^dag = H (or -H when ``anti``) up to ``TOL``.
+def threshold(x: np.ndarray, tol: float = TOL) -> float:
+    """The one tolerance rule: tol * (1 + ||X||), in the max-row-sum norm.
 
-    Asymmetry beyond ``TOL`` times the norm of H is treated as an input error
-    rather than silently averaged away.  For real matrices Hermitian means
-    symmetric.  The error names ``name``.
+    Every verdict compares against it.  A PSD certificate passes when its
+    smallest eigenvalue is at least minus this; a quantified condition holds
+    when its value is at least minus the larger threshold of its pencil's
+    two corners; a symmetry, orthogonality or equality residual fails when
+    it exceeds it.
+    """
+    return tol * (1.0 + _opnorm(x))
+
+
+def check_symmetry(h: np.ndarray, name: str, anti: bool = False) -> None:
+    """Reject ``h`` unless H^dag = H (or -H when ``anti``) up to ``threshold(h)``.
+
+    Asymmetry beyond that is treated as an input error rather than silently
+    averaged away.  For real matrices Hermitian means symmetric.  The error
+    names ``name``.
     """
     adj = h.conj().T
     dev = _opnorm(h + adj if anti else h - adj)
-    if dev > TOL * (1.0 + _opnorm(h)):
+    if dev > threshold(h):
         kind = "anti-Hermitian" if anti else "Hermitian"
         raise NotHermitianError(
             f"{name} deviates from {kind} by {dev:.3e} (norm {_opnorm(h):.3e})"
@@ -179,7 +189,7 @@ class PsdCheck:
 
 
 def is_psd(h, tol: float = TOL) -> PsdCheck:
-    """Certify H >= 0 up to a relative threshold -tol * (1 + ||H||).
+    """Certify H >= 0: its smallest eigenvalue is at least -threshold(H, tol).
 
     The relative form keeps boundary objects (pure lossy channels, the
     identity channel) on the PSD side when they evaluate to exact zeros
@@ -188,18 +198,17 @@ def is_psd(h, tol: float = TOL) -> PsdCheck:
     sym = hermitian_part(h)
     vals, vecs = np.linalg.eigh(sym)
     lam = float(vals[0])
-    threshold = tol * (1.0 + _opnorm(sym))
-    if lam >= -threshold:
-        return PsdCheck(True, lam, threshold)
-    return PsdCheck(False, lam, threshold, witness=vecs[:, 0].copy())
+    bound = threshold(sym, tol)
+    if lam >= -bound:
+        return PsdCheck(True, lam, bound)
+    return PsdCheck(False, lam, bound, witness=vecs[:, 0].copy())
 
 
-def schur_complement(w, head: int, allow_pinv: bool = False) -> np.ndarray:
+def schur_complement(w, head: int) -> np.ndarray:
     """Schur complement W11 - W12 W22^{-1} W12^dag for a 2x2 block split.
 
     ``head`` is the side length of the leading block W11.  A numerically
-    singular trailing block raises :class:`SingularBlockError` unless
-    ``allow_pinv`` declares the pseudo-inverse fallback acceptable.
+    singular trailing block raises :class:`SingularBlockError`.
     """
     w = _as_square(np.asarray(w, dtype=complex))
     d = w.shape[0]
@@ -208,16 +217,9 @@ def schur_complement(w, head: int, allow_pinv: bool = False) -> np.ndarray:
     w11 = w[:head, :head]
     w12 = w[:head, head:]
     w22 = w[head:, head:]
-    if allow_pinv:
-        inv22 = np.linalg.pinv(w22)
-    else:
-        if np.linalg.cond(w22) > 1e12:
-            raise SingularBlockError(
-                "trailing block is numerically singular; pass allow_pinv=True "
-                "to fall back to the pseudo-inverse"
-            )
-        inv22 = np.linalg.inv(w22)
-    return w11 - w12 @ inv22 @ w12.conj().T
+    if np.linalg.cond(w22) > 1e12:
+        raise SingularBlockError("trailing block is numerically singular")
+    return w11 - w12 @ np.linalg.inv(w22) @ w12.conj().T
 
 
 def random_orthosymplectic(n_modes: int, rng: np.random.Generator) -> np.ndarray:

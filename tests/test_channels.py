@@ -31,6 +31,7 @@ from gauss_steer.quantifier import decide
 from gauss_steer.symplectic import (
     ModePartition,
     direct_sum,
+    is_psd,
     min_eigenvalue,
     random_orthosymplectic,
 )
@@ -411,7 +412,10 @@ class TestInclusionsAtValueLevel:
     PSD row at w and at conj(w) gives w^dag M w >= lambda + |t - s| for unit
     w, and |s| <= |t - s| + |t|, so the gap w^dag M w + |t| - |s| is at
     least lambda.  This is the value form of SA-sufficient => SA and
-    unsteerable => MUS.
+    unsteerable => MUS.  The PSD row is the corner H + i(T - S) of the
+    quantified row's pencil, and decide passes a value down to minus the
+    larger is_psd threshold of the corners H + i(T -+ S), so a PSD pass is a
+    quantified HOLDS at every tolerance.
     """
 
     @pytest.mark.parametrize("modes", [(1, 1), (1, 2), (2, 2), (0, 2), (2, 1)])
@@ -435,9 +439,21 @@ class TestInclusionsAtValueLevel:
         ]
         for c in pool:
             for q, p in pairs:
-                lam = min_eigenvalue(ch.pose(p, part, c.K, c.M))
-                value = decide(ch.pose(q, part, c.K, c.M)).value
-                assert value >= lam - 1e-12, (q, p, value, lam)
+                psd = is_psd(ch.pose(p, part, c.K, c.M))
+                cond = ch.pose(q, part, c.K, c.M)
+                value = decide(cond).value
+                assert value >= psd.min_eigenvalue - 1e-12, (q, p, value, psd)
+                base = cond.h + 1j * cond.minus_term
+                slope = -1j * cond.plus_terms[0]
+                corners = [is_psd(base + t * slope).threshold for t in (1.0, -1.0)]
+                assert max(corners) >= psd.threshold, (q, p, corners, psd)
+                # the PSD row planted half its threshold below zero passes,
+                # and so must the quantified row, at any tol
+                for tol in (ch.TOL, 1e-3):
+                    nu = -0.5 * psd.threshold * tol / ch.TOL - psd.min_eigenvalue
+                    m = with_noise(c, nu).M
+                    assert is_psd(ch.pose(p, part, c.K, m), tol), (q, p, tol)
+                    assert decide(ch.pose(q, part, c.K, m), tol).holds, (q, p, tol)
 
 
 PSD_PREDICATES = (

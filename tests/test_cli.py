@@ -169,6 +169,29 @@ class TestSuper:
         assert code == 0
         assert json.loads(out)["verdicts"]["mus_sufficient"]["state"] == "HOLDS"
 
+    def test_one_admissibility_certificate_per_super(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from gauss_steer import superchannels as sch
+
+        calls = {"is_psd": 0, "is_valid_superchannel": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        _, out, _ = run_cli(capsys, "generate", "superchannel", "--seed", "3")
+        path = tmp_path / "sc.json"
+        path.write_text(out)
+        for name in calls:
+            monkeypatch.setattr(sch, name, counted(name, getattr(sch, name)))
+        assert run_cli(capsys, "super", str(path))[0] == 0
+        # two admissibility rows and the US row
+        assert calls == {"is_psd": 3, "is_valid_superchannel": 1}
+
 
 class TestRepro:
     def test_all_rows_pass(self, capsys):
@@ -183,7 +206,8 @@ class TestRepro:
         assert envelope["all_pass"] is True
         assert all(row["passed"] for row in envelope["rows"])
         assert envelope["tol"] == TOL
-        assert envelope["solver"] == {"decision_margin": 1e-7}
+        # the one tolerance governs every verdict; there is no solver margin
+        assert "solver" not in envelope
 
 
 @pytest.mark.parametrize("command", ["classify", "super", "repro-paper"])

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from families import symplectic_channel, with_noise
 from gauss_steer import channels as ch
+from gauss_steer import superchannels as sch
 from gauss_steer.errors import DimensionError, InvalidParameterError
 from gauss_steer.quantifier import (
-    DECISION_MARGIN,
     QuantifiedCondition,
     VerdictState,
     decide,
@@ -15,7 +15,7 @@ from gauss_steer.quantifier import (
     evaluate_many,
     falsify_grid,
 )
-from gauss_steer.symplectic import ModePartition, omega, omega_hat
+from gauss_steer.symplectic import ModePartition, is_psd, omega, omega_hat
 
 OMH = omega_hat(ModePartition(1, 1))
 OM2 = omega(2)
@@ -129,7 +129,8 @@ class TestDecide:
             v = decide(cond)
             lam = float(np.linalg.eigvalsh(h)[0])
             assert v.value == pytest.approx(lam, abs=1e-7)
-            assert v.holds == (lam >= -1e-7)
+            # with S = T = 0 both corners are H: decide and is_psd are one rule
+            assert v.holds == is_psd(h).ok
 
     def test_tiny_minus_term_still_holds(self):
         cond = QuantifiedCondition(np.eye(4), [], 1e-12 * OMH)
@@ -198,7 +199,7 @@ class TestFalsifyGrid:
                 grid_val = (
                     evaluate(cond, witness) if witness is not None else np.inf
                 )
-                assert grid_val >= -DECISION_MARGIN
+                assert grid_val >= -1e-7
             if verdict.violated:
                 assert evaluate(cond, verdict.witness) == pytest.approx(
                     verdict.value, abs=1e-10
@@ -247,21 +248,36 @@ class TestExactDecider:
                     assert moved == pytest.approx(base + nu, abs=1e-9)
 
     def test_violated_witnesses_reach_the_exact_value(self):
-        interior = 0
-        for modes in ((1, 1), (1, 2), (2, 2)):
-            for seed in range(8):
-                c = symplectic_channel(ModePartition(*modes), seed)
-                for cond in (ch.sa_condition(c), ch.mus_condition(c)):
-                    v = decide(cond)
-                    if not v.violated:
-                        continue
-                    assert evaluate(cond, v.witness) == pytest.approx(
-                        v.value, abs=1e-10
-                    )
-                    assert v.value == pytest.approx(_dual_bound(cond), abs=1e-9)
-                    s_form = np.imag(v.witness.conj() @ cond.plus_terms[0] @ v.witness)
-                    interior += abs(s_form) < 1e-9
-        # most maxima over t are interior, where the S-form of the witness vanishes
+        channels = [
+            symplectic_channel(ModePartition(*modes), seed)
+            for modes in ((1, 1), (1, 2), (2, 2))
+            for seed in range(8)
+        ]
+        conds = [
+            cond for c in channels for cond in (ch.sa_condition(c), ch.mus_condition(c))
+        ]
+        # superchannel MUS legs, many maximized at t = +-1 on a degenerate
+        # lambda_min eigenspace
+        conds += [
+            cond
+            for modes in ((1, 1), (1, 2), (2, 1))
+            for seed in range(60)
+            for cond in sch.mus_conditions(
+                sch.random_superchannel(ModePartition(*modes), seed)
+            )
+        ]
+        interior = violated = 0
+        for cond in conds:
+            v = decide(cond)
+            if not v.violated:
+                continue
+            violated += 1
+            assert evaluate(cond, v.witness) == pytest.approx(v.value, abs=1e-10)
+            assert v.value == pytest.approx(_dual_bound(cond), abs=1e-9)
+            s_form = np.imag(v.witness.conj() @ cond.plus_terms[0] @ v.witness)
+            interior += abs(s_form) < 1e-9
+        assert violated >= 150
+        # many maxima over t are interior, where the S-form of the witness vanishes
         assert interior >= 10
 
     def test_degenerate_interior_maximum_mixes_the_eigenspace(self):
