@@ -4,14 +4,14 @@ Matrices travel as row-major nested arrays of finite doubles in the
 interleaved quadrature ordering (q1, p1, ..., qN, pN); complex witness
 vectors are flattened to interleaved [re, im, re, im, ...] arrays.
 Non-finite numbers are rejected at parse time.  Copies of the schemas are
-shipped under docs/schemas and kept in sync by a test.
+shipped under docs/schemas and kept in sync by a test; ``validate`` walks
+the same dicts, with jsonschema's draft 2020-12 semantics and messages.
 """
 
 import json
+import numbers
 import sys
 from typing import Any, Dict
-
-import jsonschema
 
 from .channels import (
     PSD_ROWS,
@@ -86,26 +86,84 @@ def loads_strict(text: str) -> Any:
         raise ValueError("JSON nested too deeply") from None
 
 
-def _ensure_finite(obj, path="$"):
-    # JSON integers are unbounded, so they are range-checked too (NaN fails <=)
-    if isinstance(obj, (int, float)) and not abs(obj) <= _MAX_DOUBLE:
-        raise SchemaError(f"non-finite number at {path}")
-    if isinstance(obj, list):
-        for i, item in enumerate(obj):
-            _ensure_finite(item, f"{path}[{i}]")
-    if isinstance(obj, dict):
-        for key, item in obj.items():
-            _ensure_finite(item, f"{path}.{key}")
+# Draft 2020-12 types: bool is neither a number nor an integer, and an
+# integral float is an integer.
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "integer": lambda x: not isinstance(x, bool)
+    and (isinstance(x, int) or (isinstance(x, float) and x.is_integer())),
+}
+
+# Every keyword the shipped schemas may use; "$schema" is annotation only.
+KEYWORDS = frozenset(
+    {"$schema", "type", "properties", "required", "additionalProperties",
+     "items", "minItems", "minimum"}
+)
+
+
+def _walk(obj, schema, path, faults, overflows):
+    """Append each schema fault of ``obj`` to ``faults`` as (path, message).
+
+    Keywords are read in the schema's order and each acts only on its own
+    instance type, as in jsonschema, whose messages these are.  The paths of
+    numbers beyond double range go to ``overflows``; JSON integers are
+    unbounded, so they are range-checked too (NaN fails ``<=``).
+    """
+    for key, value in schema.items():
+        if key == "type":
+            if not _TYPES[value](obj):
+                faults.append((path, f"{obj!r} is not of type {value!r}"))
+            elif value in ("number", "integer") and not abs(obj) <= _MAX_DOUBLE:
+                overflows.append(path)
+        elif key == "properties" and isinstance(obj, dict):
+            # document order, so the first overflow is the first in the text
+            for name, item in obj.items():
+                if name in value:
+                    _walk(item, value[name], path + (name,), faults, overflows)
+        elif key == "required" and isinstance(obj, dict):
+            for name in value:
+                if name not in obj:
+                    faults.append((path, f"{name!r} is a required property"))
+        elif key == "additionalProperties" and isinstance(obj, dict):
+            # the shipped schemas only ever say ``false``
+            extras = sorted(set(obj) - set(schema.get("properties", {})), key=str)
+            if extras:
+                names = ", ".join(map(repr, extras))
+                verb = "was" if len(extras) == 1 else "were"
+                message = f"({names} {verb} unexpected)"
+                faults.append((path, f"Additional properties are not allowed {message}"))
+        elif key == "items" and isinstance(obj, list):
+            for i, item in enumerate(obj):
+                _walk(item, value, path + (i,), faults, overflows)
+        elif key == "minItems" and isinstance(obj, list) and len(obj) < value:
+            tail = "should be non-empty" if value == 1 else "is too short"
+            faults.append((path, f"{obj!r} {tail}"))
+        elif key == "minimum" and _TYPES["number"](obj) and obj < value:
+            faults.append((path, f"{obj!r} is less than the minimum of {value!r}"))
 
 
 def validate(obj: Any, kind: str) -> None:
-    """Validate a parsed object against one of the shipped schemas."""
-    try:
-        jsonschema.validate(obj, SCHEMAS[kind])
-    except jsonschema.ValidationError as exc:
-        path = "$" + "".join(f"[{p!r}]" for p in exc.absolute_path)
-        raise SchemaError(f"{kind} schema violation at {path}: {exc.message}") from exc
-    _ensure_finite(obj)
+    """Validate a parsed object against one of the shipped schemas.
+
+    Of several faults the one jsonschema's ``best_match`` picks is reported:
+    the shallowest, among those at one depth the largest path, and at one
+    path the first found.  Numbers beyond double range are reported only
+    once the schema holds.
+    """
+    faults: list = []
+    overflows: list = []
+    _walk(obj, SCHEMAS[kind], (), faults, overflows)
+    if faults:
+        path, message = max(faults, key=lambda fault: (-len(fault[0]), fault[0]))
+        where = "$" + "".join(f"[{p!r}]" for p in path)
+        raise SchemaError(f"{kind} schema violation at {where}: {message}")
+    if overflows:
+        where = "$" + "".join(
+            f".{p}" if isinstance(p, str) else f"[{p}]" for p in overflows[0]
+        )
+        raise SchemaError(f"non-finite number at {where}")
 
 
 def state_to_dict(state: GaussianState) -> Dict[str, Any]:

@@ -94,11 +94,22 @@ class TestClassify:
         assert "line 1" in err
 
     def test_schema_error_exits_1_with_path(self, capsys, tmp_path):
-        path = tmp_path / "incomplete.json"
-        path.write_text('{"m": 1, "n": 1}')
+        obj = {
+            "m": 1,
+            "n": 1,
+            "K": [[float(i == j) for j in range(4)] for i in range(4)],
+            "M": [[0.0] * 4 for _ in range(4)],
+            "d": [0.0] * 4,
+        }
+        obj["M"][1][2] = "0.5"
+        path = tmp_path / "one-fault.json"
+        path.write_text(json.dumps(obj))
         code, _, err = run_cli(capsys, "classify", str(path))
         assert code == 1
-        assert "schema" in err.lower()
+        assert err == (
+            "error: channel schema violation at $['M'][1][2]: "
+            "'0.5' is not of type 'number'\n"
+        )
 
     @pytest.mark.parametrize(
         "text",
@@ -237,13 +248,15 @@ def test_sweep_script_runs():
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy backs only the falsify_grid oracle, which imports it on first use.
+    # scipy backs only the falsify_grid oracle, which imports it on first use;
+    # jsonschema is needed only by the tests.
     env = _src_env()
+    probe = "print('scipy' in sys.modules, 'jsonschema' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, gauss_steer.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, gauss_steer.cli; {probe}"],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
