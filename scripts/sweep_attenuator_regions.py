@@ -49,11 +49,11 @@ def main() -> int:
                 [
                     f"{cos_theta:.4f}",
                     f"{n_th:.4f}",
-                    int(report.unsteerable),
-                    int(report.sa_sufficient),
+                    int(report.unsteerable.ok),
+                    int(report.sa_sufficient.ok),
                     report.steering_annihilating.state.value,
                     report.maximal_unsteerable.state.value,
-                    int(report.steering_breaking),
+                    int(report.steering_breaking.ok),
                 ]
             )
     return 0

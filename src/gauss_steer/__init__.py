@@ -7,7 +7,7 @@ certificate: a minimum eigenvalue for the PSD-shaped criteria, or a
 re-checkable witness vector for the quantified ones.
 """
 
-__version__ = "0.5.1"
+__version__ = "0.6.0"
 
 from .symplectic import (
     ModePartition,
@@ -44,14 +44,13 @@ from .channels import (
     FalsifierResult,
     GaussianChannel,
     attenuator,
+    check,
     choi_state,
     classify,
     compose,
     constant_channel,
     cp_check,
     identity_channel,
-    is_maximal_unsteerable,
-    is_steering_annihilating,
     monte_carlo_sa_oracle,
     random_channel,
     sa_sufficient_check,
@@ -100,14 +99,13 @@ __all__ = [
     "FalsifierResult",
     "GaussianChannel",
     "attenuator",
+    "check",
     "choi_state",
     "classify",
     "compose",
     "constant_channel",
     "cp_check",
     "identity_channel",
-    "is_maximal_unsteerable",
-    "is_steering_annihilating",
     "monte_carlo_sa_oracle",
     "random_channel",
     "sa_sufficient_check",

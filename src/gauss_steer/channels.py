@@ -12,15 +12,16 @@ The rows are complete positivity, unsteerable, the PSD sufficient condition
 for steering annihilation, steering-breaking (equivalently, the squeezed
 probe's output is unsteerable in the infinite-squeezing limit),
 steering-annihilating (every Gaussian input maps to an unsteerable output)
-and maximal unsteerable (every unsteerable input does).  :data:`INCLUSIONS`
-lists the set inclusions every report must respect.  The superchannel
-certificates pose the same rows on their own factors.
+and maximal unsteerable (every unsteerable input does).  :func:`check`
+gives one row's evidence for a channel and :func:`classify` every row's;
+:data:`INCLUSIONS` lists the set inclusions every report must respect.  The
+superchannel certificates pose the same rows on their own factors.
 
 Displacements never influence any predicate.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -65,8 +66,6 @@ CRITERIA = {
     "steering_annihilating": (QUANTIFIED, "omega_hat", "omega"),
     "maximal_unsteerable": (QUANTIFIED, "omega_hat", "omega_hat"),
 }
-PSD_ROWS = tuple(name for name, row in CRITERIA.items() if row[0] == PSD)
-QUANTIFIED_ROWS = tuple(name for name, row in CRITERIA.items() if row[0] == QUANTIFIED)
 
 # (subclass, superclass) pairs: a report in the first and not the second is
 # inconsistent.
@@ -132,7 +131,7 @@ class GaussianChannel:
 
 def cp_check(channel: GaussianChannel, tol: float = TOL) -> PsdCheck:
     """Complete-positivity certificate, row ``cp_valid``; truthy when it holds."""
-    return is_psd(_posed("cp_valid", channel), tol)
+    return check("cp_valid", channel, tol)
 
 
 def _require_cp(channel: GaussianChannel, tol: float = TOL) -> PsdCheck:
@@ -239,14 +238,27 @@ def swap_subsystems(channel: GaussianChannel) -> GaussianChannel:
 # ---------------------------------------------------------------------------
 
 
-def _gated_check(name: str, channel: GaussianChannel, tol: float) -> PsdCheck:
-    _require_cp(channel, tol)
-    return is_psd(_posed(name, channel), tol)
+def _evidence(name: str, channel: GaussianChannel, tol: float):
+    posed = _posed(name, channel)
+    return is_psd(posed, tol) if CRITERIA[name][0] == PSD else decide(posed, tol)
+
+
+def check(name: str, channel: GaussianChannel, tol: float = TOL):
+    """Evidence for row ``name`` of :data:`CRITERIA` on the channel.
+
+    A psd row gives a :class:`PsdCheck`, a quantified row a :class:`Verdict`;
+    either is truthy exactly when the row holds.  Every row but ``cp_valid``
+    is defined on CP channels only, so CP is certified first and
+    :class:`InvalidChannelError` raised when it fails.
+    """
+    if name != "cp_valid":
+        _require_cp(channel, tol)
+    return _evidence(name, channel, tol)
 
 
 def unsteerable_check(channel: GaussianChannel, tol: float = TOL) -> PsdCheck:
     """Unsteerable-channel certificate, row ``unsteerable``."""
-    return _gated_check("unsteerable", channel, tol)
+    return check("unsteerable", channel, tol)
 
 
 def sa_sufficient_check(channel: GaussianChannel, tol: float = TOL) -> PsdCheck:
@@ -255,12 +267,12 @@ def sa_sufficient_check(channel: GaussianChannel, tol: float = TOL) -> PsdCheck:
     Row ``sa_sufficient``: the full symplectic form sits inside the K
     sandwich while only the partial form appears outside.
     """
-    return _gated_check("sa_sufficient", channel, tol)
+    return check("sa_sufficient", channel, tol)
 
 
 def steering_breaking_check(channel: GaussianChannel, tol: float = TOL) -> PsdCheck:
     """Steering-breaking certificate, row ``steering_breaking``."""
-    return _gated_check("steering_breaking", channel, tol)
+    return check("steering_breaking", channel, tol)
 
 
 def sa_condition(channel: GaussianChannel) -> QuantifiedCondition:
@@ -271,16 +283,6 @@ def sa_condition(channel: GaussianChannel) -> QuantifiedCondition:
 def mus_condition(channel: GaussianChannel) -> QuantifiedCondition:
     """Quantified form equivalent to maximal unsteerability."""
     return _posed("maximal_unsteerable", channel)
-
-
-def is_steering_annihilating(channel: GaussianChannel, tol: float = TOL) -> Verdict:
-    _require_cp(channel, tol)
-    return decide(sa_condition(channel), tol)
-
-
-def is_maximal_unsteerable(channel: GaussianChannel, tol: float = TOL) -> Verdict:
-    _require_cp(channel, tol)
-    return decide(mus_condition(channel), tol)
 
 
 def choi_state(channel: GaussianChannel, r: float) -> GaussianState:
@@ -306,49 +308,41 @@ def choi_state(channel: GaussianChannel, r: float) -> GaussianState:
 
 @dataclass(frozen=True, eq=False)
 class ClassificationReport:
-    """All classification flags for one channel, with per-flag evidence.
+    """The evidence of every row of :data:`CRITERIA` for one channel.
 
-    ``evidence`` maps each PSD-backed flag name to its :class:`PsdCheck`;
-    the two quantified flags carry their evidence inside the verdicts.
+    The fields are the rows, in table order: a :class:`PsdCheck` for a psd
+    row, a :class:`Verdict` for a quantified one, each truthy exactly when
+    its row holds.
     """
 
-    cp_valid: bool
-    unsteerable: bool
-    sa_sufficient: bool
-    steering_breaking: bool
+    cp_valid: PsdCheck
+    unsteerable: PsdCheck
+    sa_sufficient: PsdCheck
+    steering_breaking: PsdCheck
     steering_annihilating: Verdict
     maximal_unsteerable: Verdict
-    evidence: Dict[str, PsdCheck]
-
-    def _holds(self, name: str) -> bool:
-        flag = getattr(self, name)
-        return flag.holds if isinstance(flag, Verdict) else flag
 
     def check_consistency(self) -> None:
-        """Raise if the flags contradict one of :data:`INCLUSIONS`."""
+        """Raise if the rows contradict one of :data:`INCLUSIONS`."""
         for sub, sup in INCLUSIONS:
-            if self._holds(sub) and not self._holds(sup):
+            if getattr(self, sub) and not getattr(self, sup):
                 raise GaussSteerError(
                     f"inconsistent report: {sub} holds but {sup} is VIOLATED"
                 )
 
 
 def classify(channel: GaussianChannel, tol: float = TOL) -> ClassificationReport:
-    """Pose every row of :data:`CRITERIA` and assemble a consistent report.
+    """The evidence of every row of :data:`CRITERIA`, as a consistent report.
 
     CP is certified once, first; :class:`InvalidChannelError` is raised for
     non-CP input, where the other rows are undefined.
     """
     cp = _require_cp(channel, tol)
-    evidence = {
-        name: cp if name == "cp_valid" else is_psd(_posed(name, channel), tol)
-        for name in PSD_ROWS
-    }
     report = ClassificationReport(
-        **{name: check.ok for name, check in evidence.items()},
-        steering_annihilating=decide(sa_condition(channel), tol),
-        maximal_unsteerable=decide(mus_condition(channel), tol),
-        evidence=evidence,
+        **{
+            name: cp if name == "cp_valid" else _evidence(name, channel, tol)
+            for name in CRITERIA
+        }
     )
     report.check_consistency()
     return report

@@ -15,7 +15,6 @@ envelopes.
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -51,12 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=TOL, help="relative PSD tolerance")
 
     def add_seed(p):
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help="random seed (falls back to GAUSS_STEER_SEED, then 0)",
-        )
+        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
     p = sub.add_parser("classify", help="classify a channel JSON file")
     p.add_argument("channel_file", help="path to a channel JSON object")
@@ -86,12 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_seed(p)
     p.add_argument("--json", action="store_true", help="machine-readable envelope")
     return parser
-
-
-def _seed_of(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("GAUSS_STEER_SEED", "0"))
 
 
 def _read_json(path: str):
@@ -149,31 +137,29 @@ def cmd_super(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    seed = _seed_of(args)
     m, n = args.modes
     part = ModePartition(m, n)
     if args.kind == "state":
-        obj = jsonio.state_to_dict(st.random_state(part, seed))
+        obj = jsonio.state_to_dict(st.random_state(part, args.seed))
     elif args.kind == "unsteerable-state":
-        obj = jsonio.state_to_dict(st.random_unsteerable_state(part, seed))
+        obj = jsonio.state_to_dict(st.random_unsteerable_state(part, args.seed))
     elif args.kind == "channel":
-        obj = jsonio.channel_to_dict(ch.random_channel(part, seed))
+        obj = jsonio.channel_to_dict(ch.random_channel(part, args.seed))
     else:
-        obj = jsonio.superchannel_to_dict(sch.random_superchannel(part, seed))
+        obj = jsonio.superchannel_to_dict(sch.random_superchannel(part, args.seed))
     _emit(obj)
     return 0
 
 
 def cmd_repro_paper(args) -> int:
-    seed = _seed_of(args)
-    rows = run_reference_suite(args.tol, seed)
+    rows = run_reference_suite(args.tol, args.seed)
     all_pass = all(row.passed for row in rows)
     if args.json:
         _emit(
             _envelope(
                 "repro-paper",
                 args.tol,
-                seed=seed,
+                seed=args.seed,
                 rows=[
                     {
                         "name": row.name,
@@ -188,7 +174,7 @@ def cmd_repro_paper(args) -> int:
         )
     else:
         width = max(len(row.name) for row in rows)
-        print(f"reference suite (tol={args.tol:g}, seed={seed})")
+        print(f"reference suite (tol={args.tol:g}, seed={args.seed})")
         for row in rows:
             mark = "PASS" if row.passed else "FAIL"
             print(f"  [{mark}] {row.name:<{width}}  {row.detail}")

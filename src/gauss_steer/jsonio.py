@@ -13,13 +13,7 @@ import numbers
 import sys
 from typing import Any, Dict
 
-from .channels import (
-    PSD_ROWS,
-    QUANTIFIED_ROWS,
-    ClassificationReport,
-    FalsifierResult,
-    GaussianChannel,
-)
+from .channels import CRITERIA, PSD, ClassificationReport, GaussianChannel
 from .errors import GaussSteerError
 from .quantifier import Verdict
 from .states import GaussianState
@@ -175,9 +169,19 @@ def state_to_dict(state: GaussianState) -> Dict[str, Any]:
     }
 
 
+def _from_dict(obj: Dict[str, Any], kind: str, cls, fields):
+    """Validate ``obj`` as ``kind`` and build ``cls`` from its partition and ``fields``.
+
+    The schema admits an integral float as a mode count, as draft 2020-12
+    does, so ``m`` and ``n`` pass through ``int``.
+    """
+    validate(obj, kind)
+    partition = ModePartition(int(obj["m"]), int(obj["n"]))
+    return cls(partition, *(obj[name] for name in fields))
+
+
 def state_from_dict(obj: Dict[str, Any]) -> GaussianState:
-    validate(obj, "state")
-    return GaussianState(ModePartition(obj["m"], obj["n"]), obj["cm"], obj["d"])
+    return _from_dict(obj, "state", GaussianState, ("cm", "d"))
 
 
 def channel_to_dict(channel: GaussianChannel) -> Dict[str, Any]:
@@ -191,10 +195,7 @@ def channel_to_dict(channel: GaussianChannel) -> Dict[str, Any]:
 
 
 def channel_from_dict(obj: Dict[str, Any]) -> GaussianChannel:
-    validate(obj, "channel")
-    return GaussianChannel(
-        ModePartition(obj["m"], obj["n"]), obj["K"], obj["M"], obj["d"]
-    )
+    return _from_dict(obj, "channel", GaussianChannel, ("K", "M", "d"))
 
 
 def superchannel_to_dict(sc: GaussianSuperchannel) -> Dict[str, Any]:
@@ -209,10 +210,7 @@ def superchannel_to_dict(sc: GaussianSuperchannel) -> Dict[str, Any]:
 
 
 def superchannel_from_dict(obj: Dict[str, Any]) -> GaussianSuperchannel:
-    validate(obj, "superchannel")
-    return GaussianSuperchannel(
-        ModePartition(obj["m"], obj["n"]), obj["A"], obj["E"], obj["Y"], obj["nu"]
-    )
+    return _from_dict(obj, "superchannel", GaussianSuperchannel, ("A", "E", "Y", "nu"))
 
 
 def interleave_complex(vec) -> list:
@@ -244,33 +242,13 @@ def verdict_to_dict(verdict: Verdict) -> Dict[str, Any]:
 
 
 def report_to_dict(report: ClassificationReport) -> Dict[str, Any]:
-    out: Dict[str, Any] = {name: getattr(report, name) for name in PSD_ROWS}
-    for name in QUANTIFIED_ROWS:
-        out[name] = verdict_to_dict(getattr(report, name))
-    out["evidence"] = {
-        name: psd_check_to_dict(check) for name, check in report.evidence.items()
-    }
+    """Psd rows as ``ok`` flags plus ``evidence`` entries, quantified rows as verdicts."""
+    out: Dict[str, Any] = {"evidence": {}}
+    for name, (kind, _, _) in CRITERIA.items():
+        row = getattr(report, name)
+        if kind == PSD:
+            out[name] = row.ok
+            out["evidence"][name] = psd_check_to_dict(row)
+        else:
+            out[name] = verdict_to_dict(row)
     return out
-
-
-def falsifier_to_dict(result: FalsifierResult) -> Dict[str, Any]:
-    out: Dict[str, Any] = {
-        "trials": result.trials,
-        "violation_found": result.violation_found,
-    }
-    if result.violation_found:
-        out["trial_index"] = result.trial_index
-        out["counterexample"] = state_to_dict(result.counterexample)
-        out["output"] = state_to_dict(result.output)
-    return out
-
-
-def dump_schema_files(directory) -> None:
-    """Write the shipped schema copies (used to generate docs/schemas)."""
-    import pathlib
-
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for kind, schema in SCHEMAS.items():
-        path = directory / f"{kind}.schema.json"
-        path.write_text(json.dumps(schema, indent=2, sort_keys=True) + "\n")

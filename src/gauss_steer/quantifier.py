@@ -51,7 +51,8 @@ class Verdict:
 
     ``value`` is the minimum of the gap over the unit sphere.  ``witness``
     is a unit vector achieving ``value`` and is present exactly when
-    VIOLATED; it always re-evaluates to ``value``.
+    VIOLATED; it always re-evaluates to ``value``.  Truthy exactly when it
+    holds, as :class:`~gauss_steer.symplectic.PsdCheck` is.
     """
 
     state: VerdictState
@@ -65,6 +66,9 @@ class Verdict:
     @property
     def violated(self) -> bool:
         return self.state is VerdictState.VIOLATED
+
+    def __bool__(self) -> bool:
+        return self.holds
 
 
 class QuantifiedCondition:

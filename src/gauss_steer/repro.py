@@ -100,7 +100,7 @@ def run_reference_suite(tol: float = TOL, seed: int = 0) -> List[ReproRow]:
 
     # --- amplifying/lossy channel ---
     amp = amplifying_lossy_channel()
-    cp = ch.cp_check(amp, tol)
+    cp = ch.check("cp_valid", amp, tol)
     expected_cp = np.eye(4, dtype=complex)
     expected_cp[0, 1], expected_cp[1, 0] = -0.0609j, 0.0609j
     expected_cp[2, 3], expected_cp[3, 2] = 0.99j, -0.99j
@@ -114,7 +114,7 @@ def run_reference_suite(tol: float = TOL, seed: int = 0) -> List[ReproRow]:
             min_eigenvalue=cp.min_eigenvalue,
         )
     )
-    sa_psd = ch.sa_sufficient_check(amp, tol)
+    sa_psd = ch.check("sa_sufficient", amp, tol)
     rows.append(
         _row(
             "amplifying-lossy: PSD sufficient condition fails at -0.0609",
@@ -123,7 +123,7 @@ def run_reference_suite(tol: float = TOL, seed: int = 0) -> List[ReproRow]:
             min_eigenvalue=sa_psd.min_eigenvalue,
         )
     )
-    sa = ch.is_steering_annihilating(amp, tol)
+    sa = ch.check("steering_annihilating", amp, tol)
     rows.append(
         _row(
             "amplifying-lossy: steering-annihilating verdict HOLDS",
@@ -142,7 +142,7 @@ def run_reference_suite(tol: float = TOL, seed: int = 0) -> List[ReproRow]:
             trials=mc.trials,
         )
     )
-    sb = ch.steering_breaking_check(amp, tol)
+    sb = ch.check("steering_breaking", amp, tol)
     rows.append(
         _row(
             "amplifying-lossy: not steering-breaking",
@@ -154,7 +154,7 @@ def run_reference_suite(tol: float = TOL, seed: int = 0) -> List[ReproRow]:
 
     # --- attenuator tensored with identity ---
     att = attenuator_on_a()
-    sa_psd = ch.sa_sufficient_check(att, tol)
+    sa_psd = ch.check("sa_sufficient", att, tol)
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = expected[1, 1] = 0.75
     expected[0, 1], expected[1, 0] = -0.25j, 0.25j
@@ -168,7 +168,7 @@ def run_reference_suite(tol: float = TOL, seed: int = 0) -> List[ReproRow]:
             min_eigenvalue=sa_psd.min_eigenvalue,
         )
     )
-    sb = ch.steering_breaking_check(att, tol)
+    sb = ch.check("steering_breaking", att, tol)
     rows.append(
         _row(
             "attenuator-on-A: not steering-breaking, min eigenvalue -1",
@@ -180,9 +180,9 @@ def run_reference_suite(tol: float = TOL, seed: int = 0) -> List[ReproRow]:
 
     # --- constant channels ---
     const = steerable_constant_channel()
-    sb = ch.steering_breaking_check(const, tol)
-    sa = ch.is_steering_annihilating(const, tol)
-    mus = ch.is_maximal_unsteerable(const, tol)
+    sb = ch.check("steering_breaking", const, tol)
+    sa = ch.check("steering_annihilating", const, tol)
+    mus = ch.check("maximal_unsteerable", const, tol)
     rows.append(
         _row(
             "constant(steerable): steering-breaking but SA and MUS violated",
@@ -195,9 +195,9 @@ def run_reference_suite(tol: float = TOL, seed: int = 0) -> List[ReproRow]:
         )
     )
     const_free = unsteerable_constant_channel()
-    sb2 = ch.steering_breaking_check(const_free, tol)
-    sa2 = ch.is_steering_annihilating(const_free, tol)
-    mus2 = ch.is_maximal_unsteerable(const_free, tol)
+    sb2 = ch.check("steering_breaking", const_free, tol)
+    sa2 = ch.check("steering_annihilating", const_free, tol)
+    mus2 = ch.check("maximal_unsteerable", const_free, tol)
     rows.append(
         _row(
             "constant(unsteerable): all three verdicts non-negative",
@@ -239,7 +239,7 @@ def run_reference_suite(tol: float = TOL, seed: int = 0) -> List[ReproRow]:
     rows.append(
         _row(
             "pure lossy: squeezed-probe Schur limit matches direct criterion",
-            ch.steering_breaking_check(lossy, tol).ok and diff < 1e-3,
+            ch.check("steering_breaking", lossy, tol).ok and diff < 1e-3,
             f"min-eigenvalue difference {diff:.2e}",
             difference=diff,
         )

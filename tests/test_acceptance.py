@@ -66,7 +66,7 @@ def test_criterion_1_amplifying_lossy_reproduction():
     if is_psd(sa_matrix, TOL):
         failures.append("annihilation-sufficient matrix unexpectedly PSD")
 
-    sa = ch.is_steering_annihilating(c)
+    sa = ch.check("steering_annihilating", c)
     if not sa.holds:
         failures.append(f"SA verdict {sa.state.value}, expected HOLDS")
 
@@ -128,16 +128,16 @@ def test_criterion_3_constant_channel_region():
     steer = steerable_constant_channel()
     if not ch.steering_breaking_check(steer, TOL):
         failures.append("steerable-target constant channel not steering-breaking")
-    sa = ch.is_steering_annihilating(steer)
-    mus = ch.is_maximal_unsteerable(steer)
+    sa = ch.check("steering_annihilating", steer)
+    mus = ch.check("maximal_unsteerable", steer)
     if not sa.violated:
         failures.append(f"SA verdict {sa.state.value}, expected VIOLATED")
     if not mus.violated:
         failures.append(f"MUS verdict {mus.state.value}, expected VIOLATED")
 
     free = unsteerable_constant_channel()
-    sa2 = ch.is_steering_annihilating(free)
-    mus2 = ch.is_maximal_unsteerable(free)
+    sa2 = ch.check("steering_annihilating", free)
+    mus2 = ch.check("maximal_unsteerable", free)
     if not ch.steering_breaking_check(free, TOL):
         failures.append("unsteerable-target constant channel not steering-breaking")
     if sa2.violated or mus2.violated:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -27,9 +29,10 @@ from gauss_steer.states import (
     two_mode_squeezed,
     vacuum,
 )
-from gauss_steer.quantifier import decide
+from gauss_steer.quantifier import Verdict, VerdictState, decide
 from gauss_steer.symplectic import (
     ModePartition,
+    PsdCheck,
     direct_sum,
     is_psd,
     min_eigenvalue,
@@ -220,7 +223,7 @@ class TestPsdPredicates:
 
 class TestQuantifiedPredicates:
     def test_identity_sa_violated_with_mixing_witness(self):
-        v = ch.is_steering_annihilating(ch.identity_channel(P11))
+        v = ch.check("steering_annihilating", ch.identity_channel(P11))
         assert v.violated
         assert v.value <= -0.49
         # witness mixes A and B modes
@@ -228,31 +231,30 @@ class TestQuantifiedPredicates:
         assert np.linalg.norm(v.witness[2:]) > 0.1
 
     def test_identity_mus_holds(self):
-        assert ch.is_maximal_unsteerable(ch.identity_channel(P11)).holds
+        assert ch.check("maximal_unsteerable", ch.identity_channel(P11))
 
     def test_amplifying_lossy_sa_holds(self):
-        v = ch.is_steering_annihilating(amplifying_lossy_channel())
+        v = ch.check("steering_annihilating", amplifying_lossy_channel())
         assert v.holds
         assert v.value == pytest.approx(0.009338, abs=1e-4)
 
     def test_constant_steerable_verdicts(self):
         const = steerable_constant_channel()
-        assert ch.is_steering_annihilating(const).violated
-        assert ch.is_maximal_unsteerable(const).violated
+        assert ch.check("steering_annihilating", const).violated
+        assert ch.check("maximal_unsteerable", const).violated
 
 
 class TestTolReachesValidation:
     def test_cp_gate_follows_tol(self):
         # CP only up to 1e-6, so valid at tol 1e-3 and not at the default
         c = ch.GaussianChannel(P11, np.eye(4), np.diag([0.0, 0.0, 0.0, -1e-6]))
-        calls = (
-            lambda tol: ch.is_steering_annihilating(c, tol),
-            lambda tol: ch.is_maximal_unsteerable(c, tol),
-        )
-        for call in calls:
+        for name in ch.CRITERIA:
+            if name == "cp_valid":
+                assert not ch.check(name, c) and ch.check(name, c, 1e-3)
+                continue
             with pytest.raises(InvalidChannelError):
-                call(ch.TOL)
-            call(1e-3)
+                ch.check(name, c, ch.TOL)
+            ch.check(name, c, 1e-3)
 
 
 class TestChoiState:
@@ -332,20 +334,28 @@ class TestClassify:
         assert calls == {"is_psd": 4, "cp_check": 1}
 
     def test_report_consistency_guard(self):
-        from gauss_steer.quantifier import Verdict, VerdictState
-
         rep = ch.classify(attenuator_on_a())
-        bad = ch.ClassificationReport(
-            cp_valid=True,
-            unsteerable=True,
-            sa_sufficient=rep.sa_sufficient,
-            steering_breaking=rep.steering_breaking,
-            steering_annihilating=rep.steering_annihilating,
+        bad = dataclasses.replace(
+            rep,
+            unsteerable=rep.cp_valid,
             maximal_unsteerable=Verdict(VerdictState.VIOLATED, -1.0, np.ones(4)),
-            evidence=rep.evidence,
         )
         with pytest.raises(GaussSteerError):
             bad.check_consistency()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_report_holds_each_rows_evidence(self, seed):
+        c = ch.random_channel(ModePartition(1, 2), seed)
+        rep = ch.classify(c)
+        assert [f.name for f in dataclasses.fields(rep)] == list(ch.CRITERIA)
+        for name, (kind, _, _) in ch.CRITERIA.items():
+            row, alone = getattr(rep, name), ch.check(name, c)
+            assert isinstance(row, PsdCheck if kind == ch.PSD else Verdict)
+            assert bool(row) is bool(alone) is (
+                row.ok if kind == ch.PSD else row.holds
+            )
+            value = "min_eigenvalue" if kind == ch.PSD else "value"
+            assert getattr(row, value) == getattr(alone, value)
 
 
 class TestMonteCarloOracle:
@@ -399,7 +409,7 @@ class TestEq7ImpliesMus:
             c = ch.random_channel(P11, seed)
             if ch.unsteerable_check(c):
                 checked += 1
-                assert not ch.is_maximal_unsteerable(c).violated
+                assert not ch.check("maximal_unsteerable", c).violated
             if checked >= 20:
                 break
         assert checked > 0
@@ -422,9 +432,9 @@ class TestInclusionsAtValueLevel:
     def test_quantified_value_bounds_psd_row(self, modes):
         pairs = [
             (q, p)
-            for q in ch.QUANTIFIED_ROWS
-            for p in ch.PSD_ROWS
-            if ch.CRITERIA[q][1:] == ch.CRITERIA[p][1:]
+            for q, (q_kind, *q_forms) in ch.CRITERIA.items()
+            for p, (p_kind, *p_forms) in ch.CRITERIA.items()
+            if (q_kind, p_kind) == (ch.QUANTIFIED, ch.PSD) and q_forms == p_forms
         ]
         assert sorted(pairs) == [
             ("maximal_unsteerable", "unsteerable"),
@@ -456,35 +466,42 @@ class TestInclusionsAtValueLevel:
                     assert decide(ch.pose(q, part, c.K, m), tol).holds, (q, p, tol)
 
 
-PSD_PREDICATES = (
-    ch.cp_check,
-    ch.unsteerable_check,
-    ch.sa_sufficient_check,
-    ch.steering_breaking_check,
-)
+def local_symplectic(partition: ModePartition, rng, squeeze: float) -> np.ndarray:
+    """L_A (+) L_B, each side O D O' with D = diag(e^r, e^-r) per mode, |r| <= squeeze.
 
-
-def local_passive(partition: ModePartition, rng) -> np.ndarray:
-    """O_A (+) O_B with orthosymplectic blocks; it fixes omega and omega_hat."""
-    sides = (partition.m, partition.n)
-    return direct_sum(*[random_orthosymplectic(k, rng) for k in sides if k > 0])
+    Every block is symplectic, so L fixes omega and omega_hat by congruence;
+    with ``squeeze`` = 0 it is orthogonal too.
+    """
+    blocks = []
+    for k in (partition.m, partition.n):
+        if k > 0:
+            r = rng.uniform(-squeeze, squeeze, k)
+            d = np.diag(np.stack([np.exp(r), np.exp(-r)], axis=1).ravel())
+            o1, o2 = random_orthosymplectic(k, rng), random_orthosymplectic(k, rng)
+            blocks.append(o1 @ d @ o2)
+    return direct_sum(*blocks)
 
 
 class TestLocalPassiveInvariance:
-    """K -> O2 K O1, M -> O2 M O2^T conjugates every criterion matrix by O2.
+    """K -> L K R, M -> L M L^T turns every criterion matrix into L X L^T.
 
-    So every PSD minimum eigenvalue and both quantified values are unchanged.
-    The predicates are called directly: classify also checks consistency,
-    which fails on some of these channels (see the acceptance suite).
+    R and L are local symplectic maps, so R fixes the inner form and L the
+    outer one.  By Sylvester's law every row keeps its verdict; a quantified
+    row's gap at w becomes the gap at L^T w, so it keeps its verdict too.
+    The values move with the squeezing, so they are compared only when L and
+    R are passive (orthogonal), where they are unchanged.  The rows are
+    checked one by one: classify also checks consistency, which fails on
+    some of these channels (see the acceptance suite).
     """
 
     @given(
         family=st.sampled_from(["sa 0", "sa +0.05", "sa -0.05", "random"]),
-        modes=st.sampled_from([(1, 1), (1, 2), (2, 2), (0, 2)]),
+        modes=st.sampled_from([(1, 1), (1, 2), (2, 2), (0, 2), (2, 1)]),
+        squeeze=st.sampled_from([0.0, 0.35, 0.7]),
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    @settings(max_examples=160, deadline=None, derandomize=True)
-    def test_verdicts_unchanged(self, family, modes, seed):
+    @settings(max_examples=240, deadline=None, derandomize=True)
+    def test_verdicts_unchanged(self, family, modes, squeeze, seed):
         part = ModePartition(*modes)
         if family == "random":
             c = ch.random_channel(part, seed)
@@ -494,13 +511,14 @@ class TestLocalPassiveInvariance:
             assume(nu >= 0.0)  # lowering M could break complete positivity
             c = with_noise(c, nu)
         rng = np.random.default_rng(seed)
-        o_in, o_out = local_passive(part, rng), local_passive(part, rng)
-        moved = ch.GaussianChannel(part, o_out @ c.K @ o_in, o_out @ c.M @ o_out.T)
-        for predicate in PSD_PREDICATES:
-            before, after = predicate(c), predicate(moved)
-            assert after.ok == before.ok
-            assert after.min_eigenvalue == pytest.approx(before.min_eigenvalue, abs=1e-9)
-        for build in (ch.sa_condition, ch.mus_condition):
-            before, after = decide(build(c)), decide(build(moved))
-            assert after.state is before.state
-            assert after.value == pytest.approx(before.value, abs=1e-9)
+        r_in = local_symplectic(part, rng, squeeze)
+        l_out = local_symplectic(part, rng, squeeze)
+        moved = ch.GaussianChannel(part, l_out @ c.K @ r_in, l_out @ c.M @ l_out.T)
+        for name, (kind, _, _) in ch.CRITERIA.items():
+            before, after = ch.check(name, c), ch.check(name, moved)
+            assert bool(after) is bool(before), name
+            if squeeze == 0.0:
+                value = "min_eigenvalue" if kind == ch.PSD else "value"
+                assert getattr(after, value) == pytest.approx(
+                    getattr(before, value), abs=1e-9
+                ), name

@@ -44,11 +44,10 @@ class TestGenerate:
         assert (obj["m"], obj["n"]) == (2, 1)
         assert len(obj["cm"]) == 6
 
-    def test_env_seed_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("GAUSS_STEER_SEED", "41")
-        _, out_env, _ = run_cli(capsys, "generate", "channel")
-        _, out_explicit, _ = run_cli(capsys, "generate", "channel", "--seed", "41")
-        assert out_env == out_explicit
+    def test_seed_defaults_to_zero(self, capsys):
+        _, out_default, _ = run_cli(capsys, "generate", "channel")
+        _, out_explicit, _ = run_cli(capsys, "generate", "channel", "--seed", "0")
+        assert out_default == out_explicit
 
 
 class TestClassify:

@@ -45,6 +45,21 @@ class TestRoundTrips:
         back = jsonio.channel_from_dict(jsonio.loads_strict(text))
         np.testing.assert_array_equal(back.K, c.K)
 
+    @pytest.mark.parametrize("mode", ["m", "n"])
+    def test_integral_float_mode_count(self, mode):
+        # the schema admits 1.0 as an integer, so it must construct too
+        doc = jsonio.channel_to_dict(ch.random_channel(P11, 1))
+        as_float = dict(doc, **{mode: 1.0})
+        jsonio.validate(as_float, "channel")
+        back = jsonio.channel_from_dict(as_float)
+        assert back.partition == P11
+        assert type(back.partition.m) is int and type(back.partition.n) is int
+        reports = [
+            jsonio.report_to_dict(ch.classify(jsonio.channel_from_dict(d)))
+            for d in (doc, as_float)
+        ]
+        assert json.dumps(reports[0]) == json.dumps(reports[1])
+
 
 class TestStrictParsing:
     def test_nan_token_rejected(self):
@@ -106,12 +121,6 @@ class TestEvidenceSerialization:
         assert d["evidence"]["sa_sufficient"]["min_eigenvalue"] == pytest.approx(
             -0.0609, abs=1e-9
         )
-
-    def test_falsifier_dict(self):
-        res = ch.monte_carlo_sa_oracle(ch.identity_channel(P11), 100, seed=0)
-        d = jsonio.falsifier_to_dict(res)
-        json.dumps(d)
-        assert d["violation_found"]
 
 
 class TestShippedSchemas:

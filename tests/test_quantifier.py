@@ -112,6 +112,11 @@ class TestDecide:
         assert evaluate(cond, v.witness) == pytest.approx(v.value, abs=1e-10)
         # and is concentrated on the B mode
         assert np.linalg.norm(v.witness[:2]) < 1e-6
+        assert not v
+
+    def test_verdict_truthy_exactly_when_it_holds(self):
+        assert decide(QuantifiedCondition(np.eye(4), [], OMH))
+        assert not decide(QuantifiedCondition(np.zeros((4, 4)), [], OMH))
 
     def test_boundary_holds(self):
         # second term cancels the subtracted one exactly: gap is identically 0

@@ -227,11 +227,11 @@ class TestMusSufficient:
         checked = 0
         for seed in range(50):
             c = unsteerable_channel(seed)
-            if not ch.is_maximal_unsteerable(c).holds:
+            if not ch.check("maximal_unsteerable", c):
                 continue
             checked += 1
             out = sch.apply_to_channel(s, c)
-            assert not ch.is_maximal_unsteerable(out).violated
+            assert not ch.check("maximal_unsteerable", out).violated
             if checked >= 15:
                 break
         assert checked > 0
@@ -245,7 +245,7 @@ def chain_verdicts(s: sch.GaussianSuperchannel):
     """
     pre, post = sch.decompose(s)
     us = ch.unsteerable_check(pre).ok and ch.unsteerable_check(post).ok
-    return us, [ch.is_maximal_unsteerable(c) for c in (post, pre)]
+    return us, [ch.check("maximal_unsteerable", c) for c in (post, pre)]
 
 
 class TestChainSufficient:
